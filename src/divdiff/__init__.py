@@ -48,7 +48,7 @@ from .harness import (
     run_single,
     union_coverage,
 )
-from .linalg import cholesky_logdet, softmax_row, softmax_rows, softmax_vjp, spd_inverse
+from .linalg import cholesky_logdet, softmax_rows, softmax_vjp, spd_inverse
 from .models import (
     BigramDenoiser,
     PlantedDenoiser,

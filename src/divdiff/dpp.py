@@ -95,12 +95,14 @@ def dpp_loss(l_matrix, eps: float) -> float:
     return float(-(first - second))
 
 
-def dpp_grad_logits(logits, state: MaskState, eps: float,
-                    top_k: int | None = None) -> np.ndarray:
+def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None = None,
+                    step: float | None = None) -> np.ndarray:
     """Analytic gradient of the DPP loss with respect to the logits.
 
     Quality scores are treated as constants, matching the sequential
     guidance; one-hot rows stay constants inside the feature extractor.
+    With step given, the descent step logits - step * gradient is
+    returned instead (see backprop_to_logits).
     """
     x = np.asarray(logits, dtype=np.float64)
     fs, ud = feature_set(x, state, top_k=top_k)
@@ -116,7 +118,9 @@ def dpp_grad_logits(logits, state: MaskState, eps: float,
     grad_normed = 2.0 * grad_gram @ normed
     radial = np.sum(grad_normed * normed, axis=1, keepdims=True)
     grad_features = (grad_normed - radial * normed) / norms[:, None]
-    return backprop_to_logits(grad_features, fs, ud)
+    if step is None:
+        return backprop_to_logits(grad_features, fs, ud)
+    return backprop_to_logits(grad_features, fs, ud, logits=x, step=step)
 
 
 def dpp_step(logits, state: MaskState, params: DppParams, t: int,
@@ -126,7 +130,4 @@ def dpp_step(logits, state: MaskState, params: DppParams, t: int,
     alpha_t = anneal_alpha(params.alpha, t, params.anneal, total_steps)
     if alpha_t == 0.0:
         return x.copy()
-    grad = dpp_grad_logits(x, state, params.jitter, top_k=top_k)
-    if not grad.any():
-        return x.copy()
-    return x - alpha_t * grad
+    return dpp_grad_logits(x, state, params.jitter, top_k=top_k, step=alpha_t)

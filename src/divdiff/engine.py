@@ -9,8 +9,9 @@ independent of the batch size and of the host thread count.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class GenerationConfig:
     feature_top_k: int | None = None
 
     def validate(self) -> "GenerationConfig":
+        for name in ("temperature", "alpha", "tolerance", "jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature < 0:
             raise InvalidInputError("temperature must be >= 0")
         if self.steps < 1 or self.length < 1 or self.batch < 1:
@@ -63,13 +67,18 @@ def sample_stream(seed: int, sample: int, step: int) -> np.random.Generator:
     return np.random.default_rng([seed & _SEED_MASK, sample, step])
 
 
-def sample_tokens(logits, temperature: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Propose one token per position with its confidence.
+def sample_tokens(logits, temperature: float, rngs,
+                  masked=None) -> tuple[np.ndarray, np.ndarray]:
+    """Propose one token with its confidence at every masked position.
 
-    temperature 0 takes the per-position argmax (ties to the lowest token
-    id) with confidence 1; otherwise draws from softmax(logits / theta)
-    using each sample's own stream, with confidence equal to the drawn
-    token's probability.
+    masked is a (B, S) bool array of the positions to sample; None samples
+    every position. temperature 0 takes the per-position argmax (ties to
+    the lowest token id) with confidence 1. Otherwise each sample draws S
+    uniforms from its own stream, one per position whether masked or not,
+    and every sampled position inverts the CDF of softmax(logits / theta)
+    at its uniform; the confidence is the drawn token's probability.
+    Positions outside masked get proposal -1 and confidence -inf. Only
+    the sampled rows are gathered and normalized.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim != 3:
@@ -79,16 +88,23 @@ def sample_tokens(logits, temperature: float, rngs) -> tuple[np.ndarray, np.ndar
     if temperature < 0:
         raise InvalidInputError("sample_tokens: temperature must be >= 0")
     b, s, v = x.shape
+    rows = np.ones((b, s), dtype=bool) if masked is None else np.asarray(masked, dtype=bool)
+    if rows.shape != (b, s):
+        raise InvalidInputError(f"sample_tokens: mask {rows.shape} != ({b}, {s})")
+    proposals = np.full((b, s), -1, dtype=np.int64)
+    confidences = np.full((b, s), -np.inf)
+    z = x[rows]
     if temperature == 0.0:
-        proposals = np.argmax(x, axis=-1)
-        return proposals, np.ones((b, s), dtype=np.float64)
-    probs = softmax_rows(x / temperature)
+        proposals[rows] = np.argmax(z, axis=-1)
+        confidences[rows] = 1.0
+        return proposals, confidences
+    z /= temperature
+    probs = softmax_rows(z, out=z)
     cdf = np.cumsum(probs, axis=-1)
-    proposals = np.empty((b, s), dtype=np.int64)
-    for i in range(b):
-        u = rngs[i].random(s)
-        proposals[i] = np.minimum((cdf[i] < u[:, None]).sum(axis=-1), v - 1)
-    confidences = np.take_along_axis(probs, proposals[..., None], axis=-1)[..., 0]
+    u = np.stack([rng.random(s) for rng in rngs])[rows]
+    drawn = np.minimum(np.count_nonzero(cdf < u[:, None], axis=-1), v - 1)
+    proposals[rows] = drawn
+    confidences[rows] = probs[np.arange(drawn.size), drawn]
     return proposals, confidences
 
 
@@ -151,19 +167,21 @@ def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
         rngs = []  # argmax proposals consume no randomness
     else:
         rngs = [sample_stream(config.seed, i, t) for i in range(state.batch)]
-    proposals, confidences = sample_tokens(logits, config.temperature, rngs)
+    proposals, confidences = sample_tokens(logits, config.temperature, rngs, state.masked)
     need = schedule.unmask_counts[t]
+    available = state.masked.sum(axis=1)
+    short = np.flatnonzero(available < need)
+    if short.size:
+        i = short[0]
+        raise ContractError(
+            f"sample {i} has {available[i]} masked positions, schedule needs {need}"
+        )
+    # stable sort: ties go to the lowest position; unmasked rows (-inf) sort last
+    chosen = np.argsort(-confidences, axis=1, kind="stable")[:, :need]
+    rows = np.arange(state.batch)[:, None]
     out = state.copy()
-    for i in range(state.batch):
-        cand = np.flatnonzero(state.masked[i])
-        if cand.size < need:
-            raise ContractError(
-                f"sample {i} has {cand.size} masked positions, schedule needs {need}"
-            )
-        order = np.argsort(-confidences[i, cand], kind="stable")
-        chosen = cand[order[:need]]
-        out.realized[i, chosen] = proposals[i, chosen]
-        out.masked[i, chosen] = False
+    out.realized[rows, chosen] = proposals[rows, chosen]
+    out.masked[rows, chosen] = False
     return out
 
 
@@ -214,7 +232,3 @@ def generate_batch(model, config: GenerationConfig, prompt=None) -> list[np.ndar
     """Generate a batch of fully realized sequences."""
     return run_generation(model, config, prompt).sequences
 
-
-def config_with(config: GenerationConfig, **kwargs) -> GenerationConfig:
-    """Copy a config with some fields replaced."""
-    return replace(config, **kwargs)

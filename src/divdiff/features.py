@@ -3,10 +3,14 @@
 Each sample yields a unified per-position distribution (softmax rows at
 masked positions, exact one-hot rows at committed positions), a
 vocabulary-length max-pool of those rows with argmax routing records, and
-a scalar quality score. Gradients in feature space are pushed back to the
+a scalar quality score. One softmax over every non-prompt row, written
+into the distribution's own buffer, serves both: the committed rows'
+normalizers give the quality scores before those rows are overwritten
+with their one-hot. Gradients in feature space are pushed back to the
 masked logits analytically: each vocabulary entry routes its gradient to
 the single position that attained the max, one-hot rows are constants,
-and the softmax Jacobian is applied per touched row.
+and the softmax Jacobian is applied to all touched rows of a sample at
+once.
 """
 
 from __future__ import annotations
@@ -22,15 +26,23 @@ from .state import MaskState
 
 @dataclass
 class UnifiedDistribution:
-    """Per-position probability rows plus bookkeeping flags.
+    """Per-position probability rows, committed-row flags and quality scores.
 
-    one_hot marks committed rows (constants under differentiation);
-    pooled marks rows eligible for max-pooling (prompt rows are not).
+    one_hot marks committed rows (constants under differentiation); every
+    row from prompt_len on is pooled, prompt rows are not.
     """
 
-    probs: np.ndarray    # (B, S, V)
-    one_hot: np.ndarray  # (B, S) bool
-    pooled: np.ndarray   # (B, S) bool
+    probs: np.ndarray      # (B, S, V)
+    one_hot: np.ndarray    # (B, S) bool
+    qualities: np.ndarray  # (B,)
+    prompt_len: int = 0
+
+    @property
+    def pooled(self) -> np.ndarray:
+        """(B, S) bool: the rows eligible for max-pooling."""
+        pooled = np.ones(self.one_hot.shape, dtype=bool)
+        pooled[:, : self.prompt_len] = False
+        return pooled
 
 
 @dataclass
@@ -48,27 +60,34 @@ class FeatureSet:
 
 
 def unified_distribution(logits, state: MaskState) -> UnifiedDistribution:
-    """Softmax rows at masked positions, one-hot rows at committed ones."""
+    """Softmax rows at masked positions, one-hot rows at committed ones.
+
+    The quality scores (see quality_scores) come from the same softmax.
+    """
     x = np.asarray(logits, dtype=np.float64)
-    if x.shape != (state.batch, state.length, state.vocab):
+    b, s, v = state.batch, state.length, state.vocab
+    if x.shape != (b, s, v):
         raise InvalidInputError(
-            f"unified_distribution: logits {x.shape} do not match the state "
-            f"({state.batch}, {state.length}, {state.vocab})"
+            f"unified_distribution: logits {x.shape} do not match the state ({b}, {s}, {v})"
         )
-    probs = np.zeros_like(x)
-    if state.masked.any():
-        probs[state.masked] = linalg.softmax_rows(x[state.masked])
-    unmasked = ~state.masked
-    if unmasked.any():
-        ids = state.realized[unmasked]
-        if ids.min() < 0 or ids.max() >= state.vocab:
-            raise ContractError("realized token id outside the vocabulary")
-        flat = probs[unmasked]
-        flat[np.arange(flat.shape[0]), ids] = 1.0
-        probs[unmasked] = flat
-    pooled = np.ones((state.batch, state.length), dtype=bool)
-    pooled[:, : state.prompt_len] = False
-    return UnifiedDistribution(probs=probs, one_hot=unmasked, pooled=pooled)
+    committed = ~state.masked
+    ids = state.realized[committed]
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise ContractError("realized token id outside the vocabulary")
+    plen = state.prompt_len
+    probs = np.empty_like(x)
+    _, sums = linalg.softmax_rows(x[:, plen:], out=probs[:, plen:], return_sums=True)
+    # a committed row's largest probability is 1 / its normalizer
+    scored = committed[:, plen:]
+    owner = np.nonzero(scored)[0]
+    counts = np.bincount(owner, minlength=b)
+    totals = np.bincount(owner, weights=1.0 / sums[scored], minlength=b)
+    qualities = np.ones(b, dtype=np.float64)
+    present = counts > 0
+    qualities[present] = totals[present] / counts[present]
+    probs[committed] = 0.0
+    probs[(*np.nonzero(committed), ids)] = 1.0
+    return UnifiedDistribution(probs, committed, qualities, plen)
 
 
 def extract_features(ud: UnifiedDistribution, top_k: int | None = None) -> FeatureSet:
@@ -80,25 +99,18 @@ def extract_features(ud: UnifiedDistribution, top_k: int | None = None) -> Featu
     b, s, v = ud.probs.shape
     if top_k is not None and top_k < 1:
         raise InvalidInputError("extract_features: top_k must be >= 1 when set")
-    features = np.zeros((b, v), dtype=np.float64)
-    routing = np.full((b, v), -1, dtype=np.int64)
-    for i in range(b):
-        rows_idx = np.flatnonzero(ud.pooled[i])
-        if rows_idx.size == 0:
-            continue
-        rows = ud.probs[i, rows_idx]
-        arg = rows.argmax(axis=0)
-        vals = rows[arg, np.arange(v)]
-        if top_k is None or top_k >= v:
-            features[i] = vals
-            routing[i] = rows_idx[arg]
-        else:
-            keep = np.zeros(v, dtype=bool)
-            order = np.argsort(-rows, axis=1, kind="stable")[:, :top_k]
-            keep[np.unique(order)] = True
-            features[i, keep] = vals[keep]
-            routing[i, keep] = rows_idx[arg[keep]]
-    return FeatureSet(features=features, routing=routing)
+    rows = ud.probs[:, ud.prompt_len:]
+    features = rows.max(axis=1)
+    # first position attaining the max; a boolean argmax copies 1/8 of what
+    # a float argmax across the sequence axis would
+    routing = (rows == features[:, None, :]).argmax(axis=1) + ud.prompt_len
+    if top_k is None or top_k >= v:
+        return FeatureSet(features=features, routing=routing)
+    keep = np.zeros((b, v), dtype=bool)
+    order = np.argsort(-rows, axis=2, kind="stable")[..., :top_k]
+    keep[np.arange(b)[:, None, None], order] = True
+    return FeatureSet(features=np.where(keep, features, 0.0),
+                      routing=np.where(keep, routing, -1))
 
 
 def quality_scores(logits, state: MaskState) -> np.ndarray:
@@ -106,21 +118,7 @@ def quality_scores(logits, state: MaskState) -> np.ndarray:
 
     Only unmasked non-prompt positions count; a sample with none scores 1.
     """
-    x = np.asarray(logits, dtype=np.float64)
-    if x.shape != (state.batch, state.length, state.vocab):
-        raise InvalidInputError("quality_scores: logits do not match the state")
-    sel = ~state.masked.copy()
-    sel[:, : state.prompt_len] = False
-    out = np.ones(state.batch, dtype=np.float64)
-    if not sel.any():
-        return out
-    maxes = linalg.softmax_rows(x[sel]).max(axis=-1)
-    owner = np.nonzero(sel)[0]
-    counts = np.bincount(owner, minlength=state.batch)
-    sums = np.bincount(owner, weights=maxes, minlength=state.batch)
-    present = counts > 0
-    out[present] = sums[present] / counts[present]
-    return out
+    return unified_distribution(logits, state).qualities
 
 
 def feature_set(logits, state: MaskState,
@@ -128,36 +126,40 @@ def feature_set(logits, state: MaskState,
     """Convenience bundle: unified distribution, features, and qualities."""
     ud = unified_distribution(logits, state)
     fs = extract_features(ud, top_k=top_k)
-    fs.qualities = quality_scores(logits, state)
+    fs.qualities = ud.qualities
     return fs, ud
 
 
-def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution) -> np.ndarray:
+def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution,
+                       logits=None, step: float = 1.0) -> np.ndarray:
     """Push per-sample feature gradients back to the logits.
 
     upstream is (B, V), the gradient of some loss with respect to the
     pooled features. Gradient lands only at (masked position, vocabulary)
-    slots recorded in the routing; everything else is zero.
+    slots recorded in the routing. Without logits, the dense (B, S, V)
+    gradient is returned, zero everywhere else. With logits, a descent
+    step logits - step * gradient is returned as a new array: a copy of
+    logits in which only the routed rows change.
     """
     b, s, v = ud.probs.shape
     u = np.asarray(upstream, dtype=np.float64)
     if u.shape != (b, v):
         raise InvalidInputError(f"backprop_to_logits: upstream {u.shape} != ({b}, {v})")
-    grad = np.zeros_like(ud.probs)
-    for i in range(b):
-        rout = fs.routing[i]
-        cols = np.flatnonzero(rout >= 0)
-        if cols.size == 0:
-            continue
-        rows = rout[cols]
-        if rows.max() >= s or not ud.pooled[i, rows].all():
-            raise ContractError("routing points at a position outside the pooled rows")
-        live = ~ud.one_hot[i, rows]
-        rows, cols = rows[live], cols[live]
-        if rows.size == 0:
-            continue
-        acc = np.zeros((s, v), dtype=np.float64)
-        np.add.at(acc, (rows, cols), u[i, cols])
-        for r in np.unique(rows):
-            grad[i, r] = linalg.softmax_vjp(ud.probs[i, r], acc[r])
-    return grad
+    routed = fs.routing >= 0
+    if np.any(routed & ((fs.routing < ud.prompt_len) | (fs.routing >= s))):
+        raise ContractError("routing points at a position outside the pooled rows")
+    at_committed = np.take_along_axis(ud.one_hot, np.where(routed, fs.routing, 0), axis=1)
+    live = routed & ~at_committed & (u != 0.0)
+    out = np.zeros_like(ud.probs) if logits is None else np.array(logits, dtype=np.float64)
+    for i in np.flatnonzero(live.any(axis=1)):
+        cols = np.flatnonzero(live[i])
+        rows, slot = np.unique(fs.routing[i, cols], return_inverse=True)
+        acc = np.zeros((rows.size, v), dtype=np.float64)
+        acc[slot, cols] = u[i, cols]
+        g = linalg.softmax_vjp(ud.probs[i, rows], acc)
+        if logits is None:
+            out[i, rows] = g
+        else:
+            g *= step
+            out[i, rows] -= g
+    return out

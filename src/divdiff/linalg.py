@@ -19,50 +19,45 @@ from .errors import FactorizationError, InvalidInputError
 SYMMETRY_TOL = 1e-10
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError(f"{name}: expected a non-empty 1-D vector")
-    return v
+def softmax_rows(logits, out=None, return_sums: bool = False):
+    """Stable softmax along the last axis of an n-D array.
 
-
-def softmax_row(logits) -> np.ndarray:
-    """Softmax of a single logits vector, computed with max-subtraction.
-
-    The output sums to 1 and preserves the argmax of the input. Raises
-    InvalidInputError on non-finite entries.
+    out, when given, receives the probabilities and may be the input
+    itself. With return_sums the row normalizers sum(exp(z - max z)) are
+    returned too; a row's largest probability is exactly 1 / normalizer,
+    since its largest exponential is exp(0) = 1.
     """
-    v = _as_vector(logits, "softmax_row")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("softmax_row: non-finite logits")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def softmax_rows(logits) -> np.ndarray:
-    """Stable softmax along the last axis of an n-D array."""
     x = np.asarray(logits, dtype=np.float64)
     if x.shape[-1] == 0:
         raise InvalidInputError("softmax_rows: empty last axis")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("softmax_rows: non-finite logits")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    sums = out.sum(axis=-1, keepdims=True)
+    out /= sums
+    return (out, sums[..., 0]) if return_sums else out
 
 
 def softmax_vjp(probs, upstream) -> np.ndarray:
-    """Backpropagate a probability-space gradient through softmax.
+    """Backpropagate probability-space gradients through softmax, row by row.
 
-    Given probabilities p = softmax(z) and an upstream gradient u = dL/dp,
-    returns dL/dz = p * (u - (u . p)).
+    probs holds rows p = softmax(z) and upstream the matching gradients
+    u = dL/dp, both of shape (..., V). Returns dL/dz = p * (u - (u . p))
+    for every row. The row dot products go through one batched np.matmul,
+    which gives each row the same BLAS dot product a lone vector would get.
     """
-    p = _as_vector(probs, "softmax_vjp")
-    u = _as_vector(upstream, "softmax_vjp")
+    p = np.asarray(probs, dtype=np.float64)
+    u = np.asarray(upstream, dtype=np.float64)
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise InvalidInputError("softmax_vjp: expected non-empty rows")
     if p.shape != u.shape:
         raise InvalidInputError(
-            f"softmax_vjp: length mismatch ({p.size} probs vs {u.size} upstream)"
+            f"softmax_vjp: shape mismatch ({p.shape} probs vs {u.shape} upstream)"
         )
-    return p * (u - np.dot(u, p))
+    grad = u - np.matmul(u[..., None, :], p[..., :, None])[..., 0]
+    grad *= p
+    return grad
 
 
 def _as_spd_input(m, name: str) -> np.ndarray:

@@ -142,16 +142,7 @@ def odd_step(logits, state: MaskState, params: OddParams, t: int,
     fs, ud = feature_set(x, state, top_k=top_k)
     _, directions, _ = odd_losses(fs, params.tolerance)
     upstream = np.zeros_like(fs.features)
-    active = []
-    for j, direction in enumerate(directions):
+    for i, direction in enumerate(directions, start=1):
         if direction is not None:
-            i = j + 1
             upstream[i] = -fs.qualities[i] * direction
-            active.append(i)
-    out = x.copy()
-    if not active:
-        return out
-    grad = backprop_to_logits(upstream, fs, ud)
-    for i in active:
-        out[i] -= alpha_t * grad[i]
-    return out
+    return backprop_to_logits(upstream, fs, ud, logits=x, step=alpha_t)

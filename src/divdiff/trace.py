@@ -8,6 +8,7 @@ logits recorded from any external model.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -62,25 +63,31 @@ class ReplayDenoiser:
 
 
 def trace_read(path) -> ReplayDenoiser:
-    """Load a trace file, validating magic, version, size, and finiteness."""
+    """Load a trace file, validating magic, version, size, and finiteness.
+
+    The blocks are read once, straight into the returned array.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise TraceFormatError("trace file shorter than its header")
-    magic, version, steps, batch, length, vocab = _HEADER.unpack_from(raw)
-    if magic != TRACE_MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}, expected {TRACE_MAGIC!r}")
-    if version != TRACE_VERSION:
-        raise TraceFormatError(f"unsupported version {version}, expected {TRACE_VERSION}")
-    if min(steps, batch, length, vocab) < 1:
-        raise TraceFormatError("trace header contains a zero dimension")
-    expected = _HEADER.size + steps * batch * length * vocab * 4
-    if len(raw) != expected:
-        raise TraceFormatError(
-            f"trace file is {len(raw)} bytes, header promises {expected}"
-        )
-    flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise TraceFormatError("trace file shorter than its header")
+        magic, version, steps, batch, length, vocab = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != TRACE_MAGIC:
+            raise TraceFormatError(f"bad magic {magic!r}, expected {TRACE_MAGIC!r}")
+        if version != TRACE_VERSION:
+            raise TraceFormatError(f"unsupported version {version}, expected {TRACE_VERSION}")
+        if min(steps, batch, length, vocab) < 1:
+            raise TraceFormatError("trace header contains a zero dimension")
+        count = steps * batch * length * vocab
+        expected = _HEADER.size + count * 4
+        if size != expected:
+            raise TraceFormatError(
+                f"trace file is {size} bytes, header promises {expected}"
+            )
+        flat = np.fromfile(fh, dtype="<f4", count=count)
+    if flat.size != count:
+        raise TraceFormatError(f"trace file is shorter than the {expected} bytes it promised")
     blocks = flat.reshape(steps, batch, length, vocab)
-    if not np.all(np.isfinite(blocks)):
+    if not all(np.isfinite(block).all() for block in blocks):
         raise TraceFormatError("trace contains non-finite values")
-    return ReplayDenoiser(blocks.copy())
+    return ReplayDenoiser(blocks)

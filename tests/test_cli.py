@@ -51,6 +51,12 @@ class TestGenerate:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert cli.main(["generate", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("knob", ["temperature", "alpha", "tolerance", "jitter"])
+    def test_non_finite_knob_exits_2(self, tmp_path, capsys, knob):
+        config = write_config(tmp_path / "c.json")
+        assert cli.main(["generate", "--config", str(config), "--set", f"{knob}=NaN"]) == 2
+        assert f"{knob} must be finite" in capsys.readouterr().err
+
     def test_outputs_and_effective_config_written(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", batch=4)
         out = tmp_path / "out"

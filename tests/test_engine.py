@@ -238,3 +238,9 @@ class TestConfigValidation:
     def test_rejects_negative_temperature(self):
         with pytest.raises(InvalidInputError):
             GenerationConfig(temperature=-1.0).validate()
+
+    @pytest.mark.parametrize("knob", ["temperature", "alpha", "tolerance", "jitter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_knob(self, knob, value):
+        with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
+            GenerationConfig(**{knob: value}).validate()

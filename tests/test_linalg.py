@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divdiff.errors import FactorizationError, InvalidInputError
-from divdiff.linalg import cholesky_logdet, softmax_row, softmax_rows, softmax_vjp, spd_inverse
+from divdiff.linalg import cholesky_logdet, softmax_rows, softmax_vjp, spd_inverse
 
 # frozen high-precision evaluation of exp/sum for logits (1, 2, 3)
 SOFTMAX_123 = (0.090030573170380457, 0.244728471054797652, 0.665240955774821889)
@@ -19,37 +19,37 @@ def fd_softmax_jacobian_vjp(logits, upstream, h=1e-5):
         zp, zm = z.copy(), z.copy()
         zp[i] += h
         zm[i] -= h
-        out[i] = np.dot(u, softmax_row(zp) - softmax_row(zm)) / (2 * h)
+        out[i] = np.dot(u, softmax_rows(zp) - softmax_rows(zm)) / (2 * h)
     return out
 
 
 class TestSoftmaxRow:
     def test_uniform(self):
-        np.testing.assert_allclose(softmax_row([0.0, 0.0, 0.0]), np.full(3, 1 / 3))
+        np.testing.assert_allclose(softmax_rows([0.0, 0.0, 0.0]), np.full(3, 1 / 3))
 
     def test_shift_invariance(self):
-        base = softmax_row([0.0, 1.3, -0.4, 2.2])
-        shifted = softmax_row(np.array([0.0, 1.3, -0.4, 2.2]) + 17.5)
+        base = softmax_rows([0.0, 1.3, -0.4, 2.2])
+        shifted = softmax_rows(np.array([0.0, 1.3, -0.4, 2.2]) + 17.5)
         np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-14)
 
     def test_frozen_value(self):
-        np.testing.assert_allclose(softmax_row([1.0, 2.0, 3.0]), SOFTMAX_123, atol=1e-15)
+        np.testing.assert_allclose(softmax_rows([1.0, 2.0, 3.0]), SOFTMAX_123, atol=1e-15)
 
     def test_sums_to_one_and_order_preserving(self, rng):
         for _ in range(50):
             v = rng.normal(0, 10, size=rng.integers(1, 40))
-            p = softmax_row(v)
+            p = softmax_rows(v)
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.argmax(p) == np.argmax(v)
 
     def test_extreme_magnitudes(self):
         for scale in (1e4, -1e4):
-            p = softmax_row(np.array([scale, 0.0, -scale]))
+            p = softmax_rows(np.array([scale, 0.0, -scale]))
             assert np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            softmax_row([0.0, np.inf])
+            softmax_rows([0.0, np.inf])
         with pytest.raises(InvalidInputError):
             softmax_rows(np.array([[0.0, np.nan]]))
 
@@ -62,7 +62,7 @@ class TestSoftmaxVjp:
         np.testing.assert_allclose(got, fd, atol=1e-9)
 
     def test_constant_upstream_is_null(self, rng):
-        p = softmax_row(rng.normal(size=6))
+        p = softmax_rows(rng.normal(size=6))
         np.testing.assert_allclose(softmax_vjp(p, np.full(6, 3.7)), np.zeros(6), atol=1e-15)
 
     def test_one_hot_probs_saturate(self):
@@ -81,7 +81,7 @@ class TestSoftmaxVjp:
             n = int(gen.integers(2, 65))
             z = gen.normal(0, 2, size=n)
             u = gen.normal(0, 1, size=n)
-            analytic = softmax_vjp(softmax_row(z), u)
+            analytic = softmax_vjp(softmax_rows(z), u)
             fd = fd_softmax_jacobian_vjp(z, u)
             scale = max(np.abs(fd).max(), 1e-9)
             worst = max(worst, np.abs(analytic - fd).max() / scale)

@@ -59,6 +59,18 @@ class TestFormatErrors:
         with pytest.raises(TraceFormatError, match=str(TRACE_VERSION)):
             trace_read(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:20], "shorter than its header"),
+        (lambda raw: raw[:16] + struct.pack("<Q", 0) + raw[24:], "zero dimension"),
+        (lambda raw: raw + b"\0" * 4, "header promises"),
+    ], ids=["short-header", "zero-dimension", "trailing-bytes"])
+    def test_header_and_size_checks(self, tmp_path, rng, edit, message):
+        path = tmp_path / "t.oddt"
+        write_random_trace(path, rng)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(TraceFormatError, match=message):
+            trace_read(path)
+
     def test_non_finite_rejected_on_read(self, tmp_path, rng):
         path = tmp_path / "t.oddt"
         blocks = write_random_trace(path, rng)
