@@ -96,7 +96,7 @@ def extract_features(ud: UnifiedDistribution, top_k: int | None = None) -> Featu
     With top_k set, pooling is restricted to the union of each row's top-k
     vocabulary entries; excluded entries get feature 0 and routing -1.
     """
-    b, s, v = ud.probs.shape
+    b, _, v = ud.probs.shape
     if top_k is not None and top_k < 1:
         raise InvalidInputError("extract_features: top_k must be >= 1 when set")
     rows = ud.probs[:, ud.prompt_len:]
