@@ -92,6 +92,18 @@ class TestSampleTokens:
         with pytest.raises(InvalidInputError):
             sample_tokens(np.zeros((1, 1, 2)), -0.1, [])
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_masked_rows_match_sampling_every_row(self, rng, theta):
+        logits = rng.normal(size=(3, 7, 6))
+        masked = rng.random((3, 7)) < 0.5
+        streams = [sample_stream(9, i, 2) for i in range(3)]
+        every_p, every_c = sample_tokens(logits, theta, streams)
+        streams = [sample_stream(9, i, 2) for i in range(3)]
+        p, c = sample_tokens(logits, theta, streams, masked)
+        np.testing.assert_array_equal(p[masked], every_p[masked])
+        np.testing.assert_array_equal(c[masked], every_c[masked])
+        assert np.all(p[~masked] == -1) and np.all(np.isneginf(c[~masked]))
+
 
 class FixedDenoiser:
     """Returns a constant logits tensor regardless of the state."""

@@ -165,6 +165,15 @@ class TestBackpropToLogits:
         with pytest.raises(InvalidInputError):
             backprop_to_logits(np.zeros((2, 5)), fs, ud)
 
+    def test_descent_step_matches_dense_gradient(self, rng):
+        state = random_state(rng, 3, 5, 6)
+        logits = rng.normal(size=(3, 5, 6))
+        fs, ud = feature_set(logits, state)
+        upstream = rng.normal(size=(3, 6))
+        stepped = backprop_to_logits(upstream, fs, ud, logits=logits, step=0.5)
+        dense = backprop_to_logits(upstream, fs, ud)
+        np.testing.assert_array_equal(stepped, logits - 0.5 * dense)
+
     def test_routing_outside_pooling_is_contract_error(self, rng):
         masked = np.array([[False, True]])
         realized = np.array([[0, mask_token(3)]])

@@ -53,6 +53,10 @@ class TestSoftmaxRow:
         with pytest.raises(InvalidInputError):
             softmax_rows(np.array([[0.0, np.nan]]))
 
+    def test_row_max_is_inverse_normalizer(self, rng):
+        p, sums = softmax_rows(rng.normal(0, 5, size=(50, 17)), return_sums=True)
+        np.testing.assert_array_equal(p.max(axis=-1), 1.0 / sums)
+
 
 class TestSoftmaxVjp:
     def test_uniform_basis_vector(self):
@@ -72,6 +76,13 @@ class TestSoftmaxVjp:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             softmax_vjp([0.5, 0.5], [1.0, 2.0, 3.0])
+
+    def test_batched_rows_match_single_rows(self, rng):
+        p = softmax_rows(rng.normal(size=(4, 3, 9)))
+        u = rng.normal(size=(4, 3, 9))
+        batched = softmax_vjp(p, u)
+        for idx in np.ndindex(4, 3):
+            np.testing.assert_array_equal(batched[idx], softmax_vjp(p[idx], u[idx]))
 
     def test_matches_finite_differences(self):
         # 1000 random vectors, lengths 2..64, relative error <= 1e-6
