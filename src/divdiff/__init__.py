@@ -16,7 +16,6 @@ from .engine import (
     generate_batch,
     make_guidance_hook,
     run_generation,
-    sample_stream,
     sample_tokens,
 )
 from .errors import (
@@ -70,6 +69,7 @@ from .odd import (
     project_onto_basis,
 )
 from .state import MaskState, Schedule, build_schedule, forward_mask, mask_token
+from .streams import sample_stream, stream_uniforms
 from .trace import ReplayDenoiser, trace_read, trace_write
 
 __version__ = "0.1.0"

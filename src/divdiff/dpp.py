@@ -10,6 +10,7 @@ the whole batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ class DppParams:
     anneal: str = "factor"
 
     def __post_init__(self):
+        for name in ("alpha", "jitter"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"DppParams: {name} must be finite, got {value}")
         if self.alpha < 0:
             raise InvalidInputError("DppParams: alpha must be >= 0")
         if self.jitter <= 0:

@@ -4,7 +4,10 @@ Each step asks the denoiser for a full logits batch, lets the configured
 guidance rewrite those logits, samples proposals, and commits the highest
 confidence masked positions per the schedule. Randomness comes from
 streams keyed by (seed, sample, step), so every sample's draws are
-independent of the batch size and of the host thread count.
+independent of the batch size and of the host thread count. A run
+computes all of its streams' uniforms in one pass before the first step
+(see streams.stream_uniforms); they are the same draws the per-key
+sample_stream Generators give.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import numpy as np
 from .errors import ContractError, InvalidInputError
 from .linalg import softmax_rows
 from .state import MaskState, Schedule, build_schedule
+# sample_stream, the reference definition of a stream, stays importable here
+from .streams import sample_stream, stream_uniforms
 
 GUIDANCE_KINDS = ("none", "odd", "dpp")
 ANNEAL_MODES = ("factor", "linear", "off")
-
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -62,21 +65,18 @@ class GenerationConfig:
         return self
 
 
-def sample_stream(seed: int, sample: int, step: int) -> np.random.Generator:
-    """Random stream for one sample at one step, invariant to batch size."""
-    return np.random.default_rng([seed & _SEED_MASK, sample, step])
-
-
-def sample_tokens(logits, temperature: float, rngs,
+def sample_tokens(logits, temperature: float, uniforms,
                   masked=None) -> tuple[np.ndarray, np.ndarray]:
     """Propose one token with its confidence at every masked position.
 
     masked is a (B, S) bool array of the positions to sample; None samples
     every position. temperature 0 takes the per-position argmax (ties to
-    the lowest token id) with confidence 1. Otherwise each sample draws S
-    uniforms from its own stream, one per position whether masked or not,
-    and every sampled position inverts the CDF of softmax(logits / theta)
-    at its uniform; the confidence is the drawn token's probability.
+    the lowest token id) with confidence 1 and ignores uniforms (None is
+    fine). Otherwise uniforms is a (B, S) array, one uniform per position
+    whether masked or not (row i is sample i's stream, see
+    stream_uniforms), and every sampled position inverts the CDF of
+    softmax(logits / theta) at its uniform; the confidence is the drawn
+    token's probability.
     Positions outside masked get proposal -1 and confidence -inf. Only
     the sampled rows are gathered and normalized.
     """
@@ -98,10 +98,13 @@ def sample_tokens(logits, temperature: float, rngs,
         proposals[rows] = np.argmax(z, axis=-1)
         confidences[rows] = 1.0
         return proposals, confidences
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.shape != (b, s):
+        raise InvalidInputError(f"sample_tokens: uniforms {u.shape} != ({b}, {s})")
+    u = u[rows]
     z /= temperature
     probs = softmax_rows(z, out=z)
     cdf = np.cumsum(probs, axis=-1)
-    u = np.stack([rng.random(s) for rng in rngs])[rows]
     drawn = np.minimum(np.count_nonzero(cdf < u[:, None], axis=-1), v - 1)
     proposals[rows] = drawn
     confidences[rows] = probs[np.arange(drawn.size), drawn]
@@ -144,12 +147,14 @@ def make_guidance_hook(config: GenerationConfig):
 
 
 def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
-                 schedule: Schedule | None = None, guidance=None) -> MaskState:
+                 schedule: Schedule | None = None, guidance=None,
+                 uniforms=None) -> MaskState:
     """One reverse step: predict, guide, sample, commit the top confidences.
 
     Per sample, the unmask_counts[t] masked positions with the highest
     confidence are committed (ties to the lowest position index); the rest
-    stay masked. Committed positions are never revisited.
+    stay masked. Committed positions are never revisited. uniforms is this
+    step's (B, S) block of the run's streams; None computes it here.
     """
     if schedule is None:
         schedule = build_schedule(state.length - state.prompt_len, config.steps)
@@ -163,11 +168,10 @@ def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
         logits = np.asarray(guidance(logits, state, schedule.steps - t), dtype=np.float64)
         if logits.shape != expected:
             raise ContractError("guidance hook changed the logits shape")
-    if config.temperature == 0.0:
-        rngs = []  # argmax proposals consume no randomness
-    else:
-        rngs = [sample_stream(config.seed, i, t) for i in range(state.batch)]
-    proposals, confidences = sample_tokens(logits, config.temperature, rngs, state.masked)
+    # argmax proposals (temperature 0) consume no randomness
+    if uniforms is None and config.temperature > 0.0:
+        uniforms = stream_uniforms(config.seed, state.batch, [t], state.length)[0]
+    proposals, confidences = sample_tokens(logits, config.temperature, uniforms, state.masked)
     need = schedule.unmask_counts[t]
     available = state.masked.sum(axis=1)
     short = np.flatnonzero(available < need)
@@ -219,8 +223,13 @@ def run_generation(model, config: GenerationConfig, prompt=None,
             times.append(time.perf_counter() - t0)
             return result
     start = time.perf_counter()
+    if config.temperature > 0.0:
+        uniforms = stream_uniforms(config.seed, config.batch, range(schedule.steps),
+                                   config.length)
+    else:
+        uniforms = [None] * schedule.steps
     for t in range(schedule.steps):
-        state = denoise_step(model, state, t, config, schedule, timed)
+        state = denoise_step(model, state, t, config, schedule, timed, uniforms[t])
     total = time.perf_counter() - start
     if state.masked.any():
         raise ContractError("generation finished with masked positions")

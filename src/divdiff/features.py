@@ -3,8 +3,8 @@
 Each sample yields a unified per-position distribution (softmax rows at
 masked positions, exact one-hot rows at committed positions), a
 vocabulary-length max-pool of those rows with argmax routing records, and
-a scalar quality score. One softmax over every non-prompt row, written
-into the distribution's own buffer, serves both: the committed rows'
+a scalar quality score. One softmax over every row, written into the
+distribution's own buffer, serves both: the committed rows'
 normalizers give the quality scores before those rows are overwritten
 with their one-hot. Gradients in feature space are pushed back to the
 masked logits analytically: each vocabulary entry routes its gradient to
@@ -63,6 +63,7 @@ def unified_distribution(logits, state: MaskState) -> UnifiedDistribution:
     """Softmax rows at masked positions, one-hot rows at committed ones.
 
     The quality scores (see quality_scores) come from the same softmax.
+    Every row of logits, prompt rows included, must be finite.
     """
     x = np.asarray(logits, dtype=np.float64)
     b, s, v = state.batch, state.length, state.vocab
@@ -75,13 +76,14 @@ def unified_distribution(logits, state: MaskState) -> UnifiedDistribution:
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise ContractError("realized token id outside the vocabulary")
     plen = state.prompt_len
-    probs = np.empty_like(x)
-    _, sums = linalg.softmax_rows(x[:, plen:], out=probs[:, plen:], return_sums=True)
+    # softmax every row, prompt rows too: one pass over the contiguous
+    # logits needs no buffered copy, as a strided x[:, plen:] view would
+    probs, sums = linalg.softmax_rows(x, out=np.empty_like(x), return_sums=True)
     # a committed row's largest probability is 1 / its normalizer
     scored = committed[:, plen:]
     owner = np.nonzero(scored)[0]
     counts = np.bincount(owner, minlength=b)
-    totals = np.bincount(owner, weights=1.0 / sums[scored], minlength=b)
+    totals = np.bincount(owner, weights=1.0 / sums[:, plen:][scored], minlength=b)
     qualities = np.ones(b, dtype=np.float64)
     present = counts > 0
     qualities[present] = totals[present] / counts[present]

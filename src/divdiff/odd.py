@@ -11,6 +11,7 @@ sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class OddParams:
     anneal: str = "factor"
 
     def __post_init__(self):
+        for name in ("alpha", "tolerance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"OddParams: {name} must be finite, got {value}")
         if self.alpha < 0:
             raise InvalidInputError("OddParams: alpha must be >= 0")
         if self.tolerance <= 0:
@@ -52,6 +57,10 @@ def project_onto_basis(basis: OrthoBasis, v) -> np.ndarray:
     stacked = np.asarray(basis.vectors)
     if stacked.shape[1:] != x.shape:
         raise InvalidInputError("project_onto_basis: length mismatch")
+    return _project(stacked, x)
+
+
+def _project(stacked: np.ndarray, x: np.ndarray) -> np.ndarray:
     return stacked.T @ (stacked @ x)
 
 
@@ -102,6 +111,9 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     belong to sample j + 2 (sample 1 only seeds the basis, so both lists
     are empty for a batch of one). A residual at or below the tolerance
     yields loss 0 and direction None, and does not extend the basis.
+    Each sample is projected once: its residual is also the first pass
+    of extend_basis, whose steps the loop repeats on rows of one
+    preallocated (B, V) basis array.
     """
     v = fs.features
     q = fs.qualities
@@ -112,20 +124,26 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     first_norm = np.linalg.norm(v[0])
     if first_norm <= tolerance:
         raise DegenerateInputError("odd_losses: first feature vector is numerically zero")
-    basis = OrthoBasis(vectors=[v[0] / first_norm], tolerance=tolerance)
+    vectors = np.empty_like(v)
+    vectors[0] = v[0] / first_norm
+    rank = 1
     losses: list[float] = []
     directions: list[np.ndarray | None] = []
     for i in range(1, v.shape[0]):
-        residual = v[i] - project_onto_basis(basis, v[i])
+        residual = v[i] - _project(vectors[:rank], v[i])
         norm = np.linalg.norm(residual)
         if norm <= tolerance:
             losses.append(0.0)
             directions.append(None)
-        else:
-            losses.append(float(-q[i] * norm))
-            directions.append(residual / norm)
-        basis = extend_basis(basis, v[i])
-    return losses, directions, basis
+            continue
+        losses.append(float(-q[i] * norm))
+        directions.append(residual / norm)
+        r = residual - _project(vectors[:rank], residual)
+        norm = np.linalg.norm(r)
+        if norm > tolerance:
+            vectors[rank] = r / norm
+            rank += 1
+    return losses, directions, OrthoBasis(vectors=list(vectors[:rank]), tolerance=tolerance)
 
 
 def odd_step(logits, state: MaskState, params: OddParams, t: int,

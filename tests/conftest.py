@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from divdiff.state import MaskState, mask_token
 
@@ -15,3 +16,9 @@ def random_state(rng, batch, length, vocab, masked_fraction=0.5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# Property tests draw the same examples on every run, and leave no
+# example database behind.
+settings.register_profile("divdiff", derandomize=True, database=None, deadline=None)
+settings.load_profile("divdiff")

@@ -122,6 +122,14 @@ class TestDppGradLogits:
         assert np.abs(analytic - numeric).max() / scale <= 1e-5
 
 
+class TestDppParams:
+    @pytest.mark.parametrize("knob", ["alpha", "jitter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, knob, value):
+        with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
+            DppParams(**{"alpha": 1.0, knob: value})
+
+
 class TestDppStep:
     def test_alpha_zero_identity(self):
         logits, state = guided_instance(4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divdiff import engine
 from divdiff.engine import (
     GenerationConfig,
     denoise_step,
@@ -8,6 +9,7 @@ from divdiff.engine import (
     run_generation,
     sample_stream,
     sample_tokens,
+    stream_uniforms,
 )
 from divdiff.errors import ContractError, InvalidInputError
 from divdiff.models import PlantedDenoiser, default_problem, default_task
@@ -77,8 +79,8 @@ class TestSampleTokens:
         # 100000 draws from uniform logits: each token within 3 binomial sigma
         v, n = 5, 100000
         logits = np.zeros((1, n, v))
-        rngs = [sample_stream(123, 0, 0)]
-        proposals, conf = sample_tokens(logits, 1.0, rngs)
+        uniforms = sample_stream(123, 0, 0).random((1, n))
+        proposals, conf = sample_tokens(logits, 1.0, uniforms)
         counts = np.bincount(proposals[0], minlength=v)
         sigma = np.sqrt((1 / v) * (1 - 1 / v) / n)
         assert np.all(np.abs(counts / n - 1 / v) <= 3 * sigma)
@@ -96,10 +98,9 @@ class TestSampleTokens:
     def test_masked_rows_match_sampling_every_row(self, rng, theta):
         logits = rng.normal(size=(3, 7, 6))
         masked = rng.random((3, 7)) < 0.5
-        streams = [sample_stream(9, i, 2) for i in range(3)]
-        every_p, every_c = sample_tokens(logits, theta, streams)
-        streams = [sample_stream(9, i, 2) for i in range(3)]
-        p, c = sample_tokens(logits, theta, streams, masked)
+        uniforms = stream_uniforms(9, 3, [2], 7)[0]
+        every_p, every_c = sample_tokens(logits, theta, uniforms)
+        p, c = sample_tokens(logits, theta, uniforms, masked)
         np.testing.assert_array_equal(p[masked], every_p[masked])
         np.testing.assert_array_equal(c[masked], every_c[masked])
         assert np.all(p[~masked] == -1) and np.all(np.isneginf(c[~masked]))
@@ -144,6 +145,32 @@ class TestDenoiseStep:
         state = MaskState.fully_masked(1, 6, 3)
         with pytest.raises(ContractError):
             denoise_step(model, state, 0, config, build_schedule(6, 2))
+
+    def test_default_uniforms_equal_run_generation_rows(self, monkeypatch):
+        # run_generation draws every step's uniforms up front; a lone
+        # denoise_step computes its own and must see the same rows
+        task, prompt = default_problem(2)
+        config = GenerationConfig(
+            temperature=1.3, steps=task.length - 1, length=task.length, batch=5, seed=-3
+        )
+        model = PlantedDenoiser(task)
+        seen = []
+
+        def spy(logits, temperature, uniforms, masked=None):
+            seen.append(np.array(uniforms))
+            return sample_tokens(logits, temperature, uniforms, masked)
+
+        monkeypatch.setattr(engine, "sample_tokens", spy)
+        run = run_generation(model, config, prompt=prompt)
+        precomputed, seen[:] = seen[:], []
+        state = MaskState.fully_masked(5, task.length, task.vocab, prompt)
+        sched = build_schedule(task.length - len(prompt), config.steps)
+        for t in range(config.steps):
+            state = denoise_step(model, state, t, config, sched)
+        assert len(seen) == len(precomputed) == config.steps
+        for own, shared in zip(seen, precomputed):
+            np.testing.assert_array_equal(own, shared)
+        np.testing.assert_array_equal(state.realized, run.state.realized)
 
     def test_alpha_zero_guidance_matches_none(self):
         task = default_task(3)

@@ -116,6 +116,30 @@ class TestOddLosses:
         losses, _, _ = odd_losses(fs, 1e-8)
         assert losses[0] == pytest.approx(-0.25)
 
+    def test_matches_extend_basis_reference(self):
+        # the per-sample loop over project_onto_basis and extend_basis,
+        # bit for bit; B > V and a repeated row hit the tolerance branches
+        gen = np.random.default_rng(12)
+        v = gen.random((8, 4))
+        v[3] = v[1]
+        fs = features_only(v, qualities=gen.random(8))
+        basis = OrthoBasis([v[0] / np.linalg.norm(v[0])], tolerance=1e-8)
+        ref_losses, ref_dirs = [], []
+        for i in range(1, 8):
+            residual = v[i] - project_onto_basis(basis, v[i])
+            norm = np.linalg.norm(residual)
+            ref_losses.append(0.0 if norm <= 1e-8 else float(-fs.qualities[i] * norm))
+            ref_dirs.append(None if norm <= 1e-8 else residual / norm)
+            basis = extend_basis(basis, v[i])
+        losses, dirs, got = odd_losses(fs, 1e-8)
+        assert losses == ref_losses
+        assert [d is None for d in dirs] == [d is None for d in ref_dirs]
+        assert any(d is None for d in dirs) and dirs[-1] is None
+        for d, ref in zip(dirs, ref_dirs):
+            if ref is not None:
+                np.testing.assert_array_equal(d, ref)
+        np.testing.assert_array_equal(np.array(got.vectors), np.array(basis.vectors))
+
     def test_degenerate_first_feature(self):
         fs = features_only([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateInputError):
@@ -129,6 +153,15 @@ def guided_instance(seed, batch=3, length=4, vocab=6):
         state = random_state(gen, batch, length, vocab)
         if not has_pool_tie(logits, state):
             return logits, state
+
+
+class TestOddParams:
+    # unchecked, a nan alpha turned logits into NaN and an inf alpha into +-inf
+    @pytest.mark.parametrize("knob", ["alpha", "tolerance"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, knob, value):
+        with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
+            OddParams(**{"alpha": 1.0, knob: value})
 
 
 class TestOddStep:
