@@ -4,9 +4,9 @@ Each step asks the denoiser for a full logits batch, lets the configured
 guidance rewrite those logits, samples proposals, and commits the highest
 confidence masked positions per the schedule. Randomness comes from
 streams keyed by (seed, sample, step), so every sample's draws are
-independent of the batch size and of the host thread count. A run
-computes all of its streams' uniforms in one pass before the first step
-(see streams.stream_uniforms); they are the same draws the per-key
+independent of the batch size and of the host thread count. Each step
+computes all of its samples' uniforms in one pass (see
+streams.stream_uniforms); they are the same draws the per-key
 sample_stream Generators give.
 """
 
@@ -147,14 +147,12 @@ def make_guidance_hook(config: GenerationConfig):
 
 
 def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
-                 schedule: Schedule | None = None, guidance=None,
-                 uniforms=None) -> MaskState:
+                 schedule: Schedule | None = None, guidance=None) -> MaskState:
     """One reverse step: predict, guide, sample, commit the top confidences.
 
     Per sample, the unmask_counts[t] masked positions with the highest
     confidence are committed (ties to the lowest position index); the rest
-    stay masked. Committed positions are never revisited. uniforms is this
-    step's (B, S) block of the run's streams; None computes it here.
+    stay masked. Committed positions are never revisited.
     """
     if schedule is None:
         schedule = build_schedule(state.length - state.prompt_len, config.steps)
@@ -169,7 +167,8 @@ def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
         if logits.shape != expected:
             raise ContractError("guidance hook changed the logits shape")
     # argmax proposals (temperature 0) consume no randomness
-    if uniforms is None and config.temperature > 0.0:
+    uniforms = None
+    if config.temperature > 0.0:
         uniforms = stream_uniforms(config.seed, state.batch, [t], state.length)[0]
     proposals, confidences = sample_tokens(logits, config.temperature, uniforms, state.masked)
     need = schedule.unmask_counts[t]
@@ -223,13 +222,8 @@ def run_generation(model, config: GenerationConfig, prompt=None,
             times.append(time.perf_counter() - t0)
             return result
     start = time.perf_counter()
-    if config.temperature > 0.0:
-        uniforms = stream_uniforms(config.seed, config.batch, range(schedule.steps),
-                                   config.length)
-    else:
-        uniforms = [None] * schedule.steps
     for t in range(schedule.steps):
-        state = denoise_step(model, state, t, config, schedule, timed, uniforms[t])
+        state = denoise_step(model, state, t, config, schedule, timed)
     total = time.perf_counter() - start
     if state.masked.any():
         raise ContractError("generation finished with masked positions")

@@ -72,14 +72,27 @@ def extend_basis(basis: OrthoBasis, v) -> OrthoBasis:
     """
     x = np.asarray(v, dtype=np.float64)
     r = x - project_onto_basis(basis, x)
-    norm = np.linalg.norm(r)
-    if norm <= basis.tolerance:
+    if np.linalg.norm(r) <= basis.tolerance:
         return basis
-    r = r - project_onto_basis(basis, r)
-    norm = np.linalg.norm(r)
-    if norm <= basis.tolerance:
+    stacked = np.asarray(basis.vectors, dtype=np.float64).reshape(len(basis), x.size)
+    direction = _new_direction(stacked, r, basis.tolerance)
+    if direction is None:
         return basis
-    return OrthoBasis(vectors=basis.vectors + [r / norm], tolerance=basis.tolerance)
+    return OrthoBasis(vectors=basis.vectors + [direction], tolerance=basis.tolerance)
+
+
+def _new_direction(stacked: np.ndarray, residual: np.ndarray,
+                   tolerance: float) -> np.ndarray | None:
+    """The basis vector a first-pass residual adds, or None.
+
+    Orthogonalizes the residual against the stacked basis once more and
+    normalizes it; None when that second residual is within tolerance.
+    """
+    r = residual - _project(stacked, residual)
+    norm = np.linalg.norm(r)
+    if norm <= tolerance:
+        return None
+    return r / norm
 
 
 def anneal_alpha(alpha: float, t: int, mode: str = "factor",
@@ -112,10 +125,10 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     are empty for a batch of one). A residual at or below the tolerance
     yields loss 0 and direction None, and does not extend the basis.
     Each sample is projected once: its residual is also the first pass
-    of extend_basis, whose steps the loop repeats on rows of one
-    preallocated (B, V) basis array.
+    of extend_basis, whose second pass (_new_direction) then fills the
+    rows of one preallocated (B, V) basis array.
     """
-    v = fs.features
+    v = np.asarray(fs.features, dtype=np.float64)
     q = fs.qualities
     if v.ndim != 2 or v.shape[0] < 1:
         raise InvalidInputError("odd_losses: expected (B, V) features with B >= 1")
@@ -124,7 +137,7 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     first_norm = np.linalg.norm(v[0])
     if first_norm <= tolerance:
         raise DegenerateInputError("odd_losses: first feature vector is numerically zero")
-    vectors = np.empty_like(v)
+    vectors = np.empty(v.shape)
     vectors[0] = v[0] / first_norm
     rank = 1
     losses: list[float] = []
@@ -138,10 +151,9 @@ def odd_losses(fs: FeatureSet, tolerance: float):
             continue
         losses.append(float(-q[i] * norm))
         directions.append(residual / norm)
-        r = residual - _project(vectors[:rank], residual)
-        norm = np.linalg.norm(r)
-        if norm > tolerance:
-            vectors[rank] = r / norm
+        direction = _new_direction(vectors[:rank], residual, tolerance)
+        if direction is not None:
+            vectors[rank] = direction
             rank += 1
     return losses, directions, OrthoBasis(vectors=list(vectors[:rank]), tolerance=tolerance)
 

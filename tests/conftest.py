@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from divdiff.state import MaskState, mask_token
 
@@ -17,8 +16,3 @@ def random_state(rng, batch, length, vocab, masked_fraction=0.5):
 def rng():
     return np.random.default_rng(0)
 
-
-# Property tests draw the same examples on every run, and leave no
-# example database behind.
-settings.register_profile("divdiff", derandomize=True, database=None, deadline=None)
-settings.load_profile("divdiff")

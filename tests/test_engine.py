@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from divdiff import engine
 from divdiff.engine import (
     GenerationConfig,
     denoise_step,
@@ -145,32 +144,6 @@ class TestDenoiseStep:
         state = MaskState.fully_masked(1, 6, 3)
         with pytest.raises(ContractError):
             denoise_step(model, state, 0, config, build_schedule(6, 2))
-
-    def test_default_uniforms_equal_run_generation_rows(self, monkeypatch):
-        # run_generation draws every step's uniforms up front; a lone
-        # denoise_step computes its own and must see the same rows
-        task, prompt = default_problem(2)
-        config = GenerationConfig(
-            temperature=1.3, steps=task.length - 1, length=task.length, batch=5, seed=-3
-        )
-        model = PlantedDenoiser(task)
-        seen = []
-
-        def spy(logits, temperature, uniforms, masked=None):
-            seen.append(np.array(uniforms))
-            return sample_tokens(logits, temperature, uniforms, masked)
-
-        monkeypatch.setattr(engine, "sample_tokens", spy)
-        run = run_generation(model, config, prompt=prompt)
-        precomputed, seen[:] = seen[:], []
-        state = MaskState.fully_masked(5, task.length, task.vocab, prompt)
-        sched = build_schedule(task.length - len(prompt), config.steps)
-        for t in range(config.steps):
-            state = denoise_step(model, state, t, config, sched)
-        assert len(seen) == len(precomputed) == config.steps
-        for own, shared in zip(seen, precomputed):
-            np.testing.assert_array_equal(own, shared)
-        np.testing.assert_array_equal(state.realized, run.state.realized)
 
     def test_alpha_zero_guidance_matches_none(self):
         task = default_task(3)

@@ -140,6 +140,20 @@ class TestOddLosses:
                 np.testing.assert_array_equal(d, ref)
         np.testing.assert_array_equal(np.array(got.vectors), np.array(basis.vectors))
 
+    def test_integer_features_match_float(self):
+        # a (3, 4) first row normalizes to (0.6, 0.8); integer storage
+        # must not truncate the basis to zero
+        ints = np.array([[3, 4], [1, 0], [0, 2]])
+        q = np.array([1.0, 0.5, 2.0])
+        fs = FeatureSet(features=ints, routing=np.zeros(ints.shape, dtype=np.int64),
+                        qualities=q)
+        losses, dirs, basis = odd_losses(fs, 1e-8)
+        ref_losses, ref_dirs, ref_basis = odd_losses(features_only(ints, q), 1e-8)
+        assert losses == ref_losses
+        np.testing.assert_array_equal(dirs[0], ref_dirs[0])
+        np.testing.assert_array_equal(np.array(basis.vectors), np.array(ref_basis.vectors))
+        assert losses[0] == pytest.approx(-0.5 * 0.8)
+
     def test_degenerate_first_feature(self):
         fs = features_only([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateInputError):

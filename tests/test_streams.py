@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 from divdiff.errors import InvalidInputError
 from divdiff.streams import sample_stream, stream_uniforms
 
+# Property tests draw the same examples on every run, and leave no
+# example database behind.
+settings.register_profile("divdiff", derandomize=True, database=None, deadline=None)
+settings.load_profile("divdiff")
+
 # one and two seed words, the top of the 64-bit range, and negative or
 # oversized seeds, which are reduced mod 2**64
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1, -(2**63), 2**64 + 7]
