@@ -4,10 +4,10 @@ Each step asks the denoiser for a full logits batch, lets the configured
 guidance rewrite those logits, samples proposals, and commits the highest
 confidence masked positions per the schedule. Randomness comes from
 streams keyed by (seed, sample, step), so every sample's draws are
-independent of the batch size and of the host thread count. Each step
-computes all of its samples' uniforms in one pass (see
-streams.stream_uniforms); they are the same draws the per-key
-sample_stream Generators give.
+independent of the batch size and of the host thread count. A run
+computes its streams' uniforms a block of steps at a time, each block in
+one vectorized pass (see streams.stream_uniforms); they are the same
+draws the per-key sample_stream Generators give.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from .streams import sample_stream, stream_uniforms
 
 GUIDANCE_KINDS = ("none", "odd", "dpp")
 ANNEAL_MODES = ("factor", "linear", "off")
+# Uniforms per stream_uniforms call in a run. A call has a fixed cost of
+# a few hundred microseconds, several times that of its draws at toy
+# scale (B16 S12: 192 per step), so a run draws many steps per call; the
+# cap keeps a run's stream memory independent of its number of steps.
+_BLOCK_DRAWS = 4096
 
 
 @dataclass
@@ -147,12 +152,15 @@ def make_guidance_hook(config: GenerationConfig):
 
 
 def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
-                 schedule: Schedule | None = None, guidance=None) -> MaskState:
+                 schedule: Schedule | None = None, guidance=None,
+                 uniforms=None) -> MaskState:
     """One reverse step: predict, guide, sample, commit the top confidences.
 
     Per sample, the unmask_counts[t] masked positions with the highest
     confidence are committed (ties to the lowest position index); the rest
-    stay masked. Committed positions are never revisited.
+    stay masked. Committed positions are never revisited. uniforms is this
+    step's (B, S) block of the run's streams (run_generation passes the
+    rows it drew ahead); None computes them here.
     """
     if schedule is None:
         schedule = build_schedule(state.length - state.prompt_len, config.steps)
@@ -167,8 +175,7 @@ def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
         if logits.shape != expected:
             raise ContractError("guidance hook changed the logits shape")
     # argmax proposals (temperature 0) consume no randomness
-    uniforms = None
-    if config.temperature > 0.0:
+    if uniforms is None and config.temperature > 0.0:
         uniforms = stream_uniforms(config.seed, state.batch, [t], state.length)[0]
     proposals, confidences = sample_tokens(logits, config.temperature, uniforms, state.masked)
     need = schedule.unmask_counts[t]
@@ -186,6 +193,18 @@ def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
     out.realized[rows, chosen] = proposals[rows, chosen]
     out.masked[rows, chosen] = False
     return out
+
+
+def _step_uniforms(config: GenerationConfig, steps: int):
+    """Every step's (B, S) uniforms in order, drawn a block of steps at a
+    time; None for every step at temperature 0."""
+    if config.temperature == 0.0:
+        yield from [None] * steps
+        return
+    block = max(1, _BLOCK_DRAWS // (config.batch * config.length))
+    for start in range(0, steps, block):
+        yield from stream_uniforms(config.seed, config.batch,
+                                   range(start, min(start + block, steps)), config.length)
 
 
 @dataclass
@@ -222,8 +241,8 @@ def run_generation(model, config: GenerationConfig, prompt=None,
             times.append(time.perf_counter() - t0)
             return result
     start = time.perf_counter()
-    for t in range(schedule.steps):
-        state = denoise_step(model, state, t, config, schedule, timed)
+    for t, uniforms in enumerate(_step_uniforms(config, schedule.steps)):
+        state = denoise_step(model, state, t, config, schedule, timed, uniforms)
     total = time.perf_counter() - start
     if state.masked.any():
         raise ContractError("generation finished with masked positions")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divdiff import engine
 from divdiff.engine import (
     GenerationConfig,
     denoise_step,
@@ -144,6 +145,24 @@ class TestDenoiseStep:
         state = MaskState.fully_masked(1, 6, 3)
         with pytest.raises(ContractError):
             denoise_step(model, state, 0, config, build_schedule(6, 2))
+
+    @pytest.mark.parametrize("steps_per_block", [1, 3, None])
+    def test_lone_steps_match_run_generation(self, monkeypatch, steps_per_block):
+        # run_generation draws uniforms a block of steps ahead (11 steps:
+        # eleven blocks, 3+3+3+2, or one); a lone denoise_step draws its own
+        task, prompt = default_problem(2)
+        config = GenerationConfig(
+            temperature=1.3, steps=task.length - 1, length=task.length, batch=5, seed=-3
+        )
+        if steps_per_block is not None:
+            monkeypatch.setattr(engine, "_BLOCK_DRAWS", steps_per_block * 5 * task.length)
+        model = PlantedDenoiser(task)
+        run = run_generation(model, config, prompt=prompt)
+        state = MaskState.fully_masked(5, task.length, task.vocab, prompt)
+        sched = build_schedule(task.length - len(prompt), config.steps)
+        for t in range(config.steps):
+            state = denoise_step(model, state, t, config, sched)
+        np.testing.assert_array_equal(state.realized, run.state.realized)
 
     def test_alpha_zero_guidance_matches_none(self):
         task = default_task(3)
