@@ -15,4 +15,3 @@ def random_state(rng, batch, length, vocab, masked_fraction=0.5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
