@@ -26,6 +26,7 @@ from .streams import sample_stream, stream_uniforms
 
 GUIDANCE_KINDS = ("none", "odd", "dpp")
 ANNEAL_MODES = ("factor", "linear", "off")
+
 # Uniforms per stream_uniforms call in a run. A call has a fixed cost of
 # a few hundred microseconds, several times that of its draws at toy
 # scale (B16 S12: 192 per step), so a run draws many steps per call; the
