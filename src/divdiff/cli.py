@@ -17,14 +17,8 @@ from . import config as cfg
 from . import gradcheck, reporting
 from .engine import run_generation
 from .errors import DivDiffError, InvalidInputError
-from .harness import (
-    RunReport,
-    final_feature_vectors,
-    grid_run,
-    invariance_check,
-    overhead_profile,
-)
-from .models import check_answer
+from .harness import build_report, grid_run, invariance_check, overhead_profile
+from .trace import ReplayDenoiser
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -63,53 +57,38 @@ def _load(args) -> dict:
     return cfg.apply_env(doc)
 
 
-def _cmd_generate(args) -> int:
+def _inputs(args):
+    """(doc, model, task-or-None, prompt, generation config) of a command."""
     doc = _load(args)
     model, task = cfg.build_model(doc, Path(args.config).parent)
     prompt = cfg.resolve_prompt(doc, model, task)
-    config = cfg.generation_config(doc, model, prompt)
+    return doc, model, task, prompt, cfg.generation_config(doc, model, prompt)
+
+
+def _cmd_generate(args) -> int:
+    doc, model, task, prompt, config = _inputs(args)
     run = run_generation(model, config, prompt=prompt)
-    flags = None
-    if task is not None:
-        flags = [check_answer(task, seq) for seq in run.sequences]
-    for i, seq in enumerate(run.sequences):
-        line = f"sample {i}: {' '.join(str(t) for t in seq.tolist())}"
-        if flags is not None:
-            line += f"  correct={flags[i]}"
+    report = build_report(run, config, int(doc["model"].get("problem", 0)), task)
+    for i, seq in enumerate(report.outputs):
+        line = f"sample {i}: {' '.join(map(str, seq))}"
+        if report.correct:
+            line += f"  correct={report.correct[i]}"
         print(line)
-    if flags is not None:
-        print(f"correct {sum(flags)}/{len(flags)}")
+    if report.correct:
+        print(f"correct {sum(report.correct)}/{report.batch}")
     if args.out:
         cfg.echo_config(doc, args.out)
-        report = RunReport(
-            problem=int(doc.get("model", {}).get("problem", 0)),
-            guidance=config.guidance,
-            theta=config.temperature,
-            alpha=config.alpha if config.guidance != "none" else 0.0,
-            seed=config.seed,
-            outputs=[s.tolist() for s in run.sequences],
-            correct=[bool(f) for f in (flags or [])],
-            guidance_seconds=float(sum(run.guidance_seconds)),
-            total_seconds=run.total_seconds,
-            per_step_guidance_seconds=list(run.guidance_seconds),
-            final_features=final_feature_vectors(
-                run.sequences, model.vocab, run.state.prompt_len
-            ).tolist(),
-        )
         reporting.write_reports([report], args.out)
     return 0
 
 
 def _cmd_grid(args) -> int:
-    doc = _load(args)
-    model_spec = doc.get("model", {})
-    if model_spec.get("kind", "planted") != "planted":
+    doc, _, probe_task, probe_prompt, base = _inputs(args)
+    if probe_task is None:
         raise InvalidInputError("grid runs need a planted model (correctness oracle)")
     spec = cfg.grid_spec(doc)
-    probe_model, probe_task = cfg.build_model(doc, Path(args.config).parent)
-    probe_prompt = cfg.resolve_prompt(doc, probe_model, probe_task)
-    base = cfg.generation_config(doc, probe_model, probe_prompt)
     base = replace(base, length=probe_task.length)
+    model_spec = doc["model"]
     use_default_prompt = doc.get("prompt", cfg.DEFAULTS["prompt"]) == "default"
 
     from .models import default_prompt, default_task
@@ -151,10 +130,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
-    doc = _load(args)
-    model, task = cfg.build_model(doc, Path(args.config).parent)
-    prompt = cfg.resolve_prompt(doc, model, task)
-    config = cfg.generation_config(doc, model, prompt)
+    doc, model, _, prompt, config = _inputs(args)
     section = doc.get("invariance", {})
     m = int(section.get("m", 8))
     b1 = int(section.get("b1", 8))
@@ -167,7 +143,7 @@ def _cmd_invariance(args) -> int:
 def _cmd_replay(args) -> int:
     doc = _load(args)
     model, _ = cfg.build_model(doc, Path(args.config).parent)
-    if not hasattr(model, "blocks"):
+    if not isinstance(model, ReplayDenoiser):
         raise InvalidInputError("replay needs model.kind == 'trace'")
     config = cfg.generation_config(doc, model)
     run = run_generation(model, config)
@@ -184,10 +160,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    doc = _load(args)
-    model, task = cfg.build_model(doc, Path(args.config).parent)
-    prompt = cfg.resolve_prompt(doc, model, task)
-    config = cfg.generation_config(doc, model, prompt)
+    _, model, _, _, config = _inputs(args)
     stats = overhead_profile(model, config)
     print(f"baseline_seconds={stats['baseline_seconds']:.4f}")
     print(f"guided_seconds={stats['guided_seconds']:.4f}")

@@ -16,7 +16,7 @@ from pathlib import Path
 from .engine import GenerationConfig
 from .errors import InvalidInputError
 from .harness import GridSpec
-from .models import PlantedDenoiser, PlantedTask, bigram_train, default_task
+from .models import PlantedDenoiser, PlantedTask, bigram_train, default_task, load_task
 from .trace import trace_read
 
 SCHEMA_VERSION = 1
@@ -121,8 +121,7 @@ def build_model(doc: dict, base_dir=None):
             path = root / spec["task_path"]
             if not path.is_file():
                 raise InvalidInputError(f"task file not found: {path}")
-            with open(path, "r", encoding="utf-8") as fh:
-                task = PlantedTask.from_json(json.load(fh))
+            task = load_task(path)
         else:
             task = default_task(int(spec.get("problem", 0)))
         return PlantedDenoiser(task), task
@@ -159,37 +158,54 @@ def resolve_prompt(doc: dict, model=None, task=None):
     return [int(t) for t in spec]
 
 
+def _cast(key: str, value, kind):
+    """A numeric knob as kind (int or float). A bool, a non-number or, for
+    an int knob, a non-integral value is a config error naming the key."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError(value)
+        number = kind(value)
+        if kind is int and number != value and not isinstance(value, str):
+            raise ValueError(value)
+        return number
+    except (TypeError, ValueError, OverflowError):
+        article = "an integer" if kind is int else "a number"
+        raise InvalidInputError(f"{key} must be {article}, got {value!r}") from None
+
+
 def generation_config(doc: dict, model=None, prompt=None) -> GenerationConfig:
-    """Resolve the generation knobs; the length defaults to the model's."""
+    """Resolve the generation knobs. A model's optional length, batch and
+    steps attributes are shape hints: its length is the default length,
+    its batch replaces the configured one and its steps cap the count."""
+
+    def knob(key, kind):
+        return _cast(key, doc.get(key, DEFAULTS[key]), kind)
+
     length = doc.get("length")
     if length is None:
-        if model is not None and hasattr(model, "length"):
-            length = model.length
-        elif model is not None and hasattr(model, "task"):
-            length = model.task.length
-        else:
-            length = 64
-    batch = doc.get("batch", DEFAULTS["batch"])
-    if model is not None and hasattr(model, "batch"):
-        batch = model.batch
-    usable = int(length) - (0 if prompt is None else len(prompt))
+        length = getattr(model, "length", None) or 64
+    length = _cast("length", length, int)
+    batch = getattr(model, "batch", None) or knob("batch", int)
     steps = doc.get("steps")
     if steps is None:
-        steps = min(DEFAULT_STEPS, usable)
-    if model is not None and hasattr(model, "steps"):
-        steps = min(int(steps), model.steps)
+        steps = min(DEFAULT_STEPS, length - (0 if prompt is None else len(prompt)))
+    steps = _cast("steps", steps, int)
+    model_steps = getattr(model, "steps", None)
+    if model_steps is not None:
+        steps = min(steps, model_steps)
+    top_k = doc.get("feature_top_k")
     config = GenerationConfig(
-        temperature=float(doc.get("temperature", DEFAULTS["temperature"])),
-        steps=int(steps),
-        length=int(length),
-        batch=int(batch),
-        seed=int(doc.get("seed", DEFAULTS["seed"])),
+        temperature=knob("temperature", float),
+        steps=steps,
+        length=length,
+        batch=batch,
+        seed=knob("seed", int),
         guidance=str(doc.get("guidance", DEFAULTS["guidance"])),
-        alpha=float(doc.get("alpha", DEFAULTS["alpha"])),
-        tolerance=float(doc.get("tolerance", DEFAULTS["tolerance"])),
-        jitter=float(doc.get("jitter", DEFAULTS["jitter"])),
+        alpha=knob("alpha", float),
+        tolerance=knob("tolerance", float),
+        jitter=knob("jitter", float),
         anneal=_anneal_mode(doc.get("anneal", DEFAULTS["anneal"])),
-        feature_top_k=doc.get("feature_top_k"),
+        feature_top_k=None if top_k is None else _cast("feature_top_k", top_k, int),
     )
     return config.validate()
 

@@ -121,35 +121,23 @@ def make_guidance_hook(config: GenerationConfig):
     """Build the per-step logits hook for the configured guidance, or None."""
     if config.guidance == "none":
         return None
+    # imported as the hook is built, so a patched odd_step or dpp_step is the one it calls
     if config.guidance == "odd":
-        from .odd import OddParams, odd_step
+        from .odd import OddParams, odd_step as step
 
-        params = OddParams(
-            alpha=config.alpha, tolerance=config.tolerance, anneal=config.anneal
-        )
+        params = OddParams(alpha=config.alpha, tolerance=config.tolerance, anneal=config.anneal)
+    elif config.guidance == "dpp":
+        from .dpp import DppParams, dpp_step as step
 
-        def hook(logits, state, remaining):
-            return odd_step(
-                logits, state, params, remaining,
-                total_steps=config.steps, top_k=config.feature_top_k,
-            )
+        params = DppParams(alpha=config.alpha, jitter=config.jitter, anneal=config.anneal)
+    else:
+        raise InvalidInputError(f"unknown guidance {config.guidance!r}")
 
-        return hook
-    if config.guidance == "dpp":
-        from .dpp import DppParams, dpp_step
+    def hook(logits, state, remaining):
+        return step(logits, state, params, remaining,
+                    total_steps=config.steps, top_k=config.feature_top_k)
 
-        params = DppParams(
-            alpha=config.alpha, jitter=config.jitter, anneal=config.anneal
-        )
-
-        def hook(logits, state, remaining):
-            return dpp_step(
-                logits, state, params, remaining,
-                total_steps=config.steps, top_k=config.feature_top_k,
-            )
-
-        return hook
-    raise InvalidInputError(f"unknown guidance {config.guidance!r}")
+    return hook
 
 
 def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,

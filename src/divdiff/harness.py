@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import GenerationConfig, run_generation
+from .engine import GenerationConfig, GenerationRun, run_generation
 from .errors import InvalidInputError
 from .models import PlantedDenoiser, PlantedTask, check_answer
 
@@ -33,7 +33,6 @@ class RunReport:
     guidance_seconds: float = 0.0
     total_seconds: float = 0.0
     per_step_guidance_seconds: list = field(default_factory=list)
-    final_features: list = field(default_factory=list)
     failed: bool = False
     error: str = ""
 
@@ -54,7 +53,6 @@ class RunReport:
             "guidance_seconds": self.guidance_seconds,
             "total_seconds": self.total_seconds,
             "per_step_guidance_seconds": self.per_step_guidance_seconds,
-            "final_features": self.final_features,
             "failed": self.failed,
             "error": self.error,
         }
@@ -74,11 +72,11 @@ class RunReport:
             guidance_seconds=float(doc.get("guidance_seconds", 0.0)),
             total_seconds=float(doc.get("total_seconds", 0.0)),
             per_step_guidance_seconds=list(doc.get("per_step_guidance_seconds", [])),
-            final_features=list(doc.get("final_features", [])),
             failed=bool(doc.get("failed", False)),
             error=str(doc.get("error", "")),
         )
-        if not report.failed and len(report.correct) != len(report.outputs):
+        # an ungraded run (no answer checker) carries no flags at all
+        if report.correct and len(report.correct) != len(report.outputs):
             raise InvalidInputError("RunReport: flags and outputs disagree in length")
         return report
 
@@ -112,34 +110,29 @@ class GridSpec:
                 yield key
 
 
-def final_feature_vectors(outputs, vocab: int, prompt_len: int = 0) -> np.ndarray:
-    """Token-presence features of finished sequences (max-pooled one-hots)."""
-    feats = np.zeros((len(outputs), vocab), dtype=np.float64)
-    for i, seq in enumerate(outputs):
-        feats[i, np.asarray(seq, dtype=np.int64)[prompt_len:]] = 1.0
-    return feats
-
-
-def run_single(task: PlantedTask, config: GenerationConfig, problem: int = 0,
-               prompt=None) -> RunReport:
-    """Generate one batch on a planted task and grade every sample."""
-    run = run_generation(PlantedDenoiser(task), config, prompt=prompt)
-    outputs = [seq.tolist() for seq in run.sequences]
-    flags = [bool(check_answer(task, seq)) for seq in run.sequences]
-    feats = final_feature_vectors(run.sequences, task.vocab, run.state.prompt_len)
+def build_report(run: GenerationRun, config: GenerationConfig, problem: int = 0,
+                 task: PlantedTask | None = None) -> RunReport:
+    """The report of a finished run; a task grades every sample, and
+    without one the report is ungraded (no correctness flags)."""
     return RunReport(
         problem=problem,
         guidance=config.guidance,
         theta=config.temperature,
         alpha=config.alpha if config.guidance != "none" else 0.0,
         seed=config.seed,
-        outputs=outputs,
-        correct=flags,
+        outputs=[seq.tolist() for seq in run.sequences],
+        correct=[] if task is None else [check_answer(task, seq) for seq in run.sequences],
         guidance_seconds=float(sum(run.guidance_seconds)),
         total_seconds=run.total_seconds,
         per_step_guidance_seconds=list(run.guidance_seconds),
-        final_features=feats.tolist(),
     )
+
+
+def run_single(task: PlantedTask, config: GenerationConfig, problem: int = 0,
+               prompt=None) -> RunReport:
+    """Generate one batch on a planted task and grade every sample."""
+    run = run_generation(PlantedDenoiser(task), config, prompt=prompt)
+    return build_report(run, config, problem, task)
 
 
 def pass_at_k(reports, k: int) -> float:

@@ -225,11 +225,13 @@ def planted_predict(task: PlantedTask, state: MaskState) -> np.ndarray:
 
 
 class PlantedDenoiser:
-    """Denoiser protocol wrapper around planted_predict."""
+    """Denoiser protocol wrapper around planted_predict; length is a shape
+    hint (see config.generation_config)."""
 
     def __init__(self, task: PlantedTask):
         self.task = task
         self.vocab = task.vocab
+        self.length = task.length
 
     def predict(self, state: MaskState, step: int) -> np.ndarray:
         return planted_predict(self.task, state)

@@ -47,7 +47,7 @@ def load_reports(results_dir, warn=None) -> list[RunReport]:
     if not root.is_dir():
         raise InvalidInputError(f"{results_dir} is not a directory")
     reports = []
-    for path in sorted(root.glob("*.json")):
+    for path in sorted(root.glob("run_*.json")):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 reports.append(RunReport.from_json(json.load(fh)))
@@ -62,11 +62,12 @@ def aggregate_reports(reports) -> dict:
 
     Produces sorted rows ready for the CSV, per-cell pass@1 / pass@B
     Pareto points, and the count of failed runs (excluded throughout).
+    Ungraded runs have no pass@k and are left out of the rows.
     """
     good = [r for r in reports if not r.failed]
     failed = len(list(reports)) - len(good)
     cells = {}
-    for report in good:
+    for report in (r for r in good if r.correct):
         key = (report.guidance, report.theta, report.alpha)
         cells.setdefault(key, {}).setdefault(report.seed, []).append(report)
     rows = []

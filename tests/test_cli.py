@@ -57,6 +57,16 @@ class TestGenerate:
         assert cli.main(["generate", "--config", str(config), "--set", f"{knob}=NaN"]) == 2
         assert f"{knob} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment", [
+        "steps=abc", "temperature=abc", "alpha=[1]", "feature_top_k=abc",
+        "batch=1.5", "seed=true",
+    ])
+    def test_malformed_knob_exits_2(self, tmp_path, capsys, assignment):
+        config = write_config(tmp_path / "c.json")
+        assert cli.main(["generate", "--config", str(config), "--set", assignment]) == 2
+        key = assignment.split("=")[0]
+        assert f"error: {key} must be" in capsys.readouterr().err
+
     def test_outputs_and_effective_config_written(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", batch=4)
         out = tmp_path / "out"
@@ -190,6 +200,16 @@ class TestGridAndReport:
             assert "warning" in captured.err
         finally:
             (grid_dir / "run_zzz_broken.json").unlink()
+
+    def test_report_reads_ungraded_generate_output(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "c.json", batch=4, length=6, prompt=None,
+            model={"kind": "bigram", "vocab": 5, "corpus": [[0, 1, 2, 3, 4, 0]]},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["report", str(out)]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_report_empty_dir_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -5,7 +5,7 @@ import pytest
 
 from divdiff.engine import GenerationConfig
 from divdiff.errors import InvalidInputError
-from divdiff.harness import GridSpec, grid_run
+from divdiff.harness import GridSpec, RunReport, grid_run
 from divdiff.models import default_problem, default_task
 from divdiff.reporting import (
     aggregate_reports,
@@ -68,6 +68,35 @@ def test_malformed_report_skipped_with_warning(grid_outputs, tmp_path):
     loaded = load_reports(results, warn=warnings.append)
     assert len(loaded) == len(reports)
     assert len(warnings) == 2
+
+
+def test_schema_1_document_with_final_features_loads(grid_outputs, tmp_path):
+    # runs written before final_features was dropped carry it; it is ignored
+    report = grid_outputs[0][0]
+    doc = dict(report.to_json(), final_features=[[0.0, 1.0]] * report.batch)
+    (tmp_path / "run_old.json").write_text(json.dumps(doc))
+    warnings = []
+    (loaded,) = load_reports(tmp_path, warn=warnings.append)
+    assert warnings == []
+    assert loaded == report
+
+
+def test_written_report_has_no_final_features(grid_outputs, tmp_path):
+    (path,) = write_reports(grid_outputs[0][:1], tmp_path)
+    assert "final_features" not in json.loads(path.read_text())
+
+
+def test_ungraded_reports_load_and_stay_out_of_pass_at_k(grid_outputs, tmp_path):
+    reports, aggregates = grid_outputs
+    ungraded = RunReport(problem=7, guidance="odd", theta=1.0, alpha=8.0, seed=0,
+                         outputs=reports[0].outputs)
+    write_reports([ungraded], tmp_path)
+    warnings = []
+    assert load_reports(tmp_path, warn=warnings.append) == [ungraded]
+    assert warnings == []
+    mixed = aggregate_reports(list(reports) + [ungraded])
+    assert format_csv(mixed["rows"]) == format_csv(aggregates["rows"])
+    assert mixed["failed_runs"] == 0
 
 
 def test_empty_results_dir_rejected(tmp_path):
