@@ -59,15 +59,7 @@ from .models import (
     default_task,
     planted_predict,
 )
-from .odd import (
-    OddParams,
-    OrthoBasis,
-    anneal_alpha,
-    extend_basis,
-    odd_losses,
-    odd_step,
-    project_onto_basis,
-)
+from .odd import OddParams, anneal_alpha, odd_losses, odd_step, project_onto_basis
 from .state import MaskState, Schedule, build_schedule, forward_mask, mask_token
 from .streams import sample_stream, stream_uniforms
 from .trace import ReplayDenoiser, trace_read, trace_write

@@ -68,7 +68,8 @@ def _inputs(args):
 def _cmd_generate(args) -> int:
     doc, model, task, prompt, config = _inputs(args)
     run = run_generation(model, config, prompt=prompt)
-    report = build_report(run, config, int(doc["model"].get("problem", 0)), task)
+    problem = cfg._cast("model.problem", doc["model"].get("problem", 0), int)
+    report = build_report(run, config, problem, task)
     for i, seq in enumerate(report.outputs):
         line = f"sample {i}: {' '.join(map(str, seq))}"
         if report.correct:
@@ -116,7 +117,10 @@ def _cmd_gradcheck(args) -> int:
     instances = 120
     if args.config:
         doc = _load(args)
-        instances = int(doc.get("gradcheck_instances", instances))
+        instances = cfg._cast("gradcheck_instances",
+                              doc.get("gradcheck_instances", instances), int)
+        if instances < 1:
+            raise InvalidInputError("gradcheck_instances must be >= 1")
     results = gradcheck.run_all_suites(instances=instances)
     failed = False
     for res in results:
@@ -132,9 +136,10 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_invariance(args) -> int:
     doc, model, _, prompt, config = _inputs(args)
     section = doc.get("invariance", {})
-    m = int(section.get("m", 8))
-    b1 = int(section.get("b1", 8))
-    b2 = int(section.get("b2", 16))
+    if not isinstance(section, dict):
+        raise InvalidInputError(f"invariance must be an object, got {section!r}")
+    m, b1, b2 = (cfg._cast(f"invariance.{key}", section.get(key, default), int)
+                 for key, default in (("m", 8), ("b1", 8), ("b2", 16)))
     ok = invariance_check(model, config, m, b1, b2, prompt=prompt)
     print(f"guidance={config.guidance} m={m} b1={b1} b2={b2} prefix-invariant={ok}")
     return 0

@@ -121,9 +121,12 @@ def build_model(doc: dict, base_dir=None):
             path = root / spec["task_path"]
             if not path.is_file():
                 raise InvalidInputError(f"task file not found: {path}")
-            task = load_task(path)
+            try:
+                task = load_task(path)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"model.task_path: {exc}") from None
         else:
-            task = default_task(int(spec.get("problem", 0)))
+            task = default_task(_cast("model.problem", spec.get("problem", 0), int))
         return PlantedDenoiser(task), task
     if kind == "bigram":
         vocab = spec.get("vocab")
@@ -133,7 +136,7 @@ def build_model(doc: dict, base_dir=None):
                 corpus = json.load(fh)
         if vocab is None or corpus is None:
             raise InvalidInputError("bigram model needs 'vocab' and 'corpus'")
-        return bigram_train(corpus, int(vocab)), None
+        return bigram_train(corpus, _cast("model.vocab", vocab, int)), None
     if kind == "trace":
         if "path" not in spec:
             raise InvalidInputError("trace model needs a 'path'")
@@ -155,7 +158,9 @@ def resolve_prompt(doc: dict, model=None, task=None):
 
             return default_prompt(task)
         return None
-    return [int(t) for t in spec]
+    if not isinstance(spec, list):
+        raise InvalidInputError(f'prompt must be a token list, "default" or "none", got {spec!r}')
+    return [_cast("prompt", t, int) for t in spec]
 
 
 def _cast(key: str, value, kind):
@@ -213,12 +218,18 @@ def generation_config(doc: dict, model=None, prompt=None) -> GenerationConfig:
 def grid_spec(doc: dict) -> GridSpec:
     grid = dict(DEFAULT_GRID)
     grid.update(doc.get("grid", {}))
+
+    def values(key, kind):
+        if not isinstance(grid[key], list):
+            raise InvalidInputError(f"grid.{key} must be a list, got {grid[key]!r}")
+        return [_cast(f"grid.{key}", item, kind) for item in grid[key]]
+
     return GridSpec(
-        temperatures=[float(t) for t in grid["temperatures"]],
-        alphas=[float(a) for a in grid["alphas"]],
+        temperatures=values("temperatures", float),
+        alphas=values("alphas", float),
         guidances=[str(g) for g in grid["guidances"]],
-        seeds=[int(s) for s in grid["seeds"]],
-        problems=[int(p) for p in grid["problems"]],
+        seeds=values("seeds", int),
+        problems=values("problems", int),
     )
 
 

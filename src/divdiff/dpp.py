@@ -44,44 +44,35 @@ class DppParams:
             raise InvalidInputError("DppParams: jitter must be > 0")
 
 
-def _normalized_features(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L-ensemble, L2-normalized features, feature norms) of a feature set."""
+    if fs.qualities is None:
+        raise InvalidInputError("build_l_ensemble: feature set is missing qualities")
     v = fs.features
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms <= 0):
         raise DegenerateInputError("build_l_ensemble: zero-norm feature vector")
-    return v / norms[:, None], norms
+    normed = v / norms[:, None]
+    gram = normed @ normed.T
+    return gram * np.outer(fs.qualities, fs.qualities), normed, norms
 
 
 def build_l_ensemble(fs: FeatureSet) -> np.ndarray:
     """Quality-weighted similarity kernel of the normalized batch features."""
-    if fs.qualities is None:
-        raise InvalidInputError("build_l_ensemble: feature set is missing qualities")
-    normed, _ = _normalized_features(fs)
-    gram = normed @ normed.T
-    return gram * np.outer(fs.qualities, fs.qualities)
+    return _kernel(fs)[0]
 
 
-def _logdet_with_retry(m: np.ndarray, eps: float) -> float:
-    # One bounded recovery attempt: add 10*eps of extra jitter, then give up.
+def _with_retry(factorize, m: np.ndarray, eps: float):
+    """factorize(m), with one bounded recovery attempt: add 10*eps of extra
+    jitter, then give up with a NumericalError."""
     try:
-        return linalg.cholesky_logdet(m)
+        return factorize(m)
     except FactorizationError:
         pass
     try:
-        return linalg.cholesky_logdet(m + 10.0 * eps * np.eye(m.shape[0]))
+        return factorize(m + 10.0 * eps * np.eye(m.shape[0]))
     except FactorizationError as exc:
-        raise NumericalError(f"log-det failed after jitter retry: {exc}") from exc
-
-
-def _inverse_with_retry(m: np.ndarray, eps: float) -> np.ndarray:
-    try:
-        return linalg.spd_inverse(m)
-    except FactorizationError:
-        pass
-    try:
-        return linalg.spd_inverse(m + 10.0 * eps * np.eye(m.shape[0]))
-    except FactorizationError as exc:
-        raise NumericalError(f"SPD inverse failed after jitter retry: {exc}") from exc
+        raise NumericalError(f"factorization failed after jitter retry: {exc}") from exc
 
 
 def dpp_loss(l_matrix, eps: float) -> float:
@@ -95,8 +86,8 @@ def dpp_loss(l_matrix, eps: float) -> float:
     if eps <= 0:
         raise InvalidInputError("dpp_loss: eps must be > 0")
     eye = np.eye(a.shape[0])
-    first = _logdet_with_retry(a + eps * eye, eps)
-    second = _logdet_with_retry(a + (1.0 + eps) * eye, eps)
+    first = _with_retry(linalg.cholesky_logdet, a + eps * eye, eps)
+    second = _with_retry(linalg.cholesky_logdet, a + (1.0 + eps) * eye, eps)
     return float(-(first - second))
 
 
@@ -111,13 +102,12 @@ def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None = No
     """
     x = np.asarray(logits, dtype=np.float64)
     fs, ud = feature_set(x, state, top_k=top_k)
-    normed, norms = _normalized_features(fs)
+    l_matrix, normed, norms = _kernel(fs)
     q = fs.qualities
-    l_matrix = (normed @ normed.T) * np.outer(q, q)
     eye = np.eye(l_matrix.shape[0])
     grad_l = -(
-        _inverse_with_retry(l_matrix + eps * eye, eps)
-        - _inverse_with_retry(l_matrix + (1.0 + eps) * eye, eps)
+        _with_retry(linalg.spd_inverse, l_matrix + eps * eye, eps)
+        - _with_retry(linalg.spd_inverse, l_matrix + (1.0 + eps) * eye, eps)
     )
     grad_gram = grad_l * np.outer(q, q)
     grad_normed = 2.0 * grad_gram @ normed

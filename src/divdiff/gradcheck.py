@@ -16,8 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpp import dpp_grad_logits, dpp_loss
-from .features import backprop_to_logits, extract_features, feature_set, unified_distribution
-from .odd import OddParams, OrthoBasis, extend_basis, odd_step, project_onto_basis
+from .features import (
+    FeatureSet,
+    backprop_to_logits,
+    extract_features,
+    feature_set,
+    unified_distribution,
+)
+from .odd import OddParams, odd_losses, odd_step, project_onto_basis
 from .state import MaskState, mask_token
 
 MASKED_FRACTIONS = (0.25, 0.5, 1.0)
@@ -122,14 +128,15 @@ def fd_feature_gradient(logits, state: MaskState, upstream, h: float = DEFAULT_S
     return grad
 
 
-def frozen_odd_targets(features0: np.ndarray, tolerance: float):
-    """Projection targets for samples 2..B against the detached history."""
-    norm = np.linalg.norm(features0[0])
-    basis = OrthoBasis(vectors=[features0[0] / norm], tolerance=tolerance)
+def frozen_odd_targets(fs0: FeatureSet, tolerance: float):
+    """Projection targets for samples 2..B against the detached history:
+    sample i's features projected onto the basis odd_losses builds from
+    samples 1..i-1."""
     targets = []
-    for i in range(1, features0.shape[0]):
-        targets.append(project_onto_basis(basis, features0[i]))
-        basis = extend_basis(basis, features0[i])
+    for i in range(1, fs0.features.shape[0]):
+        prefix = FeatureSet(fs0.features[:i], fs0.routing[:i], fs0.qualities[:i])
+        _, _, basis = odd_losses(prefix, tolerance)
+        targets.append(project_onto_basis(basis, fs0.features[i]))
     return targets
 
 
@@ -138,7 +145,7 @@ def fd_odd_gradient(logits, state: MaskState, tolerance: float,
     """FD gradient of the summed residual loss with frozen targets/qualities."""
     fs0, _ = feature_set(logits, state)
     q0 = fs0.qualities.copy()
-    targets = frozen_odd_targets(fs0.features, tolerance)
+    targets = frozen_odd_targets(fs0, tolerance)
 
     def objective(x, sample):
         if sample == 0:
@@ -172,7 +179,7 @@ def fd_dpp_gradient(logits, state: MaskState, eps: float,
 
 def _min_residual(logits, state: MaskState, tolerance: float) -> float:
     fs, _ = feature_set(logits, state)
-    targets = frozen_odd_targets(fs.features, tolerance)
+    targets = frozen_odd_targets(fs, tolerance)
     norms = [
         np.linalg.norm(fs.features[i] - targets[i - 1])
         for i in range(1, state.batch)

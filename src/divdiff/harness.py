@@ -208,8 +208,7 @@ def _run_cell(task_factory, base_config, cell) -> RunReport:
         guidance=guidance, temperature=theta, alpha=alpha, seed=seed,
     )
     try:
-        produced = task_factory(problem)
-        task, prompt = produced if isinstance(produced, tuple) else (produced, None)
+        task, prompt = task_factory(problem)
         return run_single(task, config, problem=problem, prompt=prompt)
     except Exception as exc:  # a failed cell is recorded, never fatal
         return RunReport(
@@ -222,6 +221,10 @@ def _run_cell(task_factory, base_config, cell) -> RunReport:
 def grid_run(spec: GridSpec, task_factory, base_config: GenerationConfig,
              jobs: int = 1, log=None):
     """Run every grid cell and aggregate pass@k per configuration.
+
+    task_factory(problem) returns the (task, prompt) pair of a problem
+    (default_problem is one); prompt may be None. A cell whose factory
+    call or run raises is recorded as a failed report.
 
     Returns (reports, aggregates); aggregates come from aggregate_reports,
     so regenerating them later from persisted reports is bit-identical.

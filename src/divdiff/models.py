@@ -93,7 +93,11 @@ class PlantedTask:
 
 def load_task(path) -> PlantedTask:
     with open(path, "r", encoding="utf-8") as fh:
-        return PlantedTask.from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InvalidInputError(f"task file {path} is not JSON ({exc})") from exc
+    return PlantedTask.from_json(doc)
 
 
 def save_task(task: PlantedTask, path) -> None:

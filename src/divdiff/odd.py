@@ -4,32 +4,23 @@ Sample 1 seeds an orthonormal basis with its (detached) feature direction.
 Every later sample i is scored by the norm of its feature residual against
 the basis built from samples 1..i-1, weighted by its quality score, and
 its masked logits are pushed along the gradient that grows that residual.
-The basis and projections are constants under differentiation, so sample
-i's update depends only on samples 1..i: prefixes agree across batch
-sizes.
+The basis is one (rank, V) array of orthonormal rows, filled in sample
+order by Gram-Schmidt with a second orthogonalization pass, and
+project_onto_basis is the one projection onto it. The basis and
+projections are constants under differentiation, so sample i's update
+depends only on samples 1..i: prefixes agree across batch sizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .features import FeatureSet, backprop_to_logits, feature_set
 from .state import MaskState
-
-
-@dataclass
-class OrthoBasis:
-    """Ordered list of mutually orthonormal history directions."""
-
-    vectors: list[np.ndarray] = field(default_factory=list)
-    tolerance: float = 1e-8
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 @dataclass
@@ -49,46 +40,24 @@ class OddParams:
             raise InvalidInputError("OddParams: tolerance must be > 0")
 
 
-def project_onto_basis(basis: OrthoBasis, v) -> np.ndarray:
-    """Projection of v onto the span of the basis (zero for an empty basis)."""
+def project_onto_basis(basis, v) -> np.ndarray:
+    """Projection of v onto the span of the orthonormal rows of a (rank, V)
+    basis; a rank-0 basis projects to zero."""
+    stacked = np.asarray(basis, dtype=np.float64)
     x = np.asarray(v, dtype=np.float64)
-    if not basis.vectors:
-        return np.zeros_like(x)
-    stacked = np.asarray(basis.vectors)
-    if stacked.shape[1:] != x.shape:
+    if stacked.ndim != 2 or stacked.shape[1:] != x.shape:
         raise InvalidInputError("project_onto_basis: length mismatch")
-    return _project(stacked, x)
-
-
-def _project(stacked: np.ndarray, x: np.ndarray) -> np.ndarray:
     return stacked.T @ (stacked @ x)
 
 
-def extend_basis(basis: OrthoBasis, v) -> OrthoBasis:
-    """Append the normalized residual of v, or return the basis unchanged.
-
-    A second orthogonalization pass keeps the basis numerically orthonormal
-    when the residual is small relative to v.
-    """
-    x = np.asarray(v, dtype=np.float64)
-    r = x - project_onto_basis(basis, x)
-    if np.linalg.norm(r) <= basis.tolerance:
-        return basis
-    stacked = np.asarray(basis.vectors, dtype=np.float64).reshape(len(basis), x.size)
-    direction = _new_direction(stacked, r, basis.tolerance)
-    if direction is None:
-        return basis
-    return OrthoBasis(vectors=basis.vectors + [direction], tolerance=basis.tolerance)
-
-
-def _new_direction(stacked: np.ndarray, residual: np.ndarray,
+def _new_direction(basis: np.ndarray, residual: np.ndarray,
                    tolerance: float) -> np.ndarray | None:
     """The basis vector a first-pass residual adds, or None.
 
-    Orthogonalizes the residual against the stacked basis once more and
+    Orthogonalizes the residual against the basis once more and
     normalizes it; None when that second residual is within tolerance.
     """
-    r = residual - _project(stacked, residual)
+    r = residual - project_onto_basis(basis, residual)
     norm = np.linalg.norm(r)
     if norm <= tolerance:
         return None
@@ -118,15 +87,18 @@ def anneal_alpha(alpha: float, t: int, mode: str = "factor",
 
 
 def odd_losses(fs: FeatureSet, tolerance: float):
-    """Quality-weighted orthogonal-residual losses over the batch.
+    """Feature gradient of the quality-weighted orthogonal-residual loss.
 
-    Returns (losses, directions, basis): losses[j] and directions[j]
-    belong to sample j + 2 (sample 1 only seeds the basis, so both lists
-    are empty for a batch of one). A residual at or below the tolerance
-    yields loss 0 and direction None, and does not extend the basis.
-    Each sample is projected once: its residual is also the first pass
-    of extend_basis, whose second pass (_new_direction) then fills the
-    rows of one preallocated (B, V) basis array.
+    Sample i > 1 has loss -q_i * |r_i|, where r_i is the residual of its
+    features against the basis of samples 1..i-1. Returns (upstream,
+    directions, basis). upstream is the (B, V) gradient of the summed loss
+    with respect to the features: row i is -q_i * r_i / |r_i|, row 0 is
+    zero. directions[j] = r_i / |r_i| belongs to sample i = j + 2 (the list
+    is empty for a batch of one). A residual at or below the tolerance
+    gives direction None and a zero upstream row, and does not extend the
+    basis. basis is the (rank, V) array of orthonormal rows. Each sample is
+    projected once; its residual is the first Gram-Schmidt pass, and the
+    second pass (_new_direction) fills the next basis row.
     """
     v = np.asarray(fs.features, dtype=np.float64)
     q = fs.qualities
@@ -137,25 +109,25 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     first_norm = np.linalg.norm(v[0])
     if first_norm <= tolerance:
         raise DegenerateInputError("odd_losses: first feature vector is numerically zero")
-    vectors = np.empty(v.shape)
-    vectors[0] = v[0] / first_norm
+    basis = np.empty(v.shape)
+    basis[0] = v[0] / first_norm
     rank = 1
-    losses: list[float] = []
+    upstream = np.zeros(v.shape)
     directions: list[np.ndarray | None] = []
     for i in range(1, v.shape[0]):
-        residual = v[i] - _project(vectors[:rank], v[i])
+        residual = v[i] - project_onto_basis(basis[:rank], v[i])
         norm = np.linalg.norm(residual)
         if norm <= tolerance:
-            losses.append(0.0)
             directions.append(None)
             continue
-        losses.append(float(-q[i] * norm))
-        directions.append(residual / norm)
-        direction = _new_direction(vectors[:rank], residual, tolerance)
-        if direction is not None:
-            vectors[rank] = direction
+        direction = residual / norm
+        directions.append(direction)
+        upstream[i] = -q[i] * direction
+        added = _new_direction(basis[:rank], residual, tolerance)
+        if added is not None:
+            basis[rank] = added
             rank += 1
-    return losses, directions, OrthoBasis(vectors=list(vectors[:rank]), tolerance=tolerance)
+    return upstream, directions, basis[:rank]
 
 
 def odd_step(logits, state: MaskState, params: OddParams, t: int,
@@ -170,9 +142,5 @@ def odd_step(logits, state: MaskState, params: OddParams, t: int,
     if alpha_t == 0.0 or x.shape[0] == 1:
         return x.copy()
     fs, ud = feature_set(x, state, top_k=top_k)
-    _, directions, _ = odd_losses(fs, params.tolerance)
-    upstream = np.zeros_like(fs.features)
-    for i, direction in enumerate(directions, start=1):
-        if direction is not None:
-            upstream[i] = -fs.qualities[i] * direction
+    upstream, _, _ = odd_losses(fs, params.tolerance)
     return backprop_to_logits(upstream, fs, ud, logits=x, step=alpha_t)

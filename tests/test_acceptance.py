@@ -73,7 +73,7 @@ def test_criterion_2_basis_correctness(rng):
         odd_step(logits, state, OddParams(alpha=8.0, anneal="off"), t=4)
         fs, _ = feature_set(logits, state)
         _, _, basis = odd_losses(fs, 1e-8)
-        gram = np.array([[float(np.dot(a, b)) for b in basis.vectors] for a in basis.vectors])
+        gram = np.array([[float(np.dot(a, b)) for b in basis] for a in basis])
         worst = max(worst, np.abs(gram - np.eye(len(basis))).max())
     # duplicated feature vectors never extend the basis
     logits = gen.normal(0, 1.5, size=(1, 6, 32))

@@ -1,0 +1,52 @@
+"""The benchmark tracer still finds and counts every library name it patches.
+
+benchmarks/tracing.py wraps divdiff functions by name. It is loaded here
+as it stands, without changes, so that renaming a traced function or
+changing what odd_losses returns fails in the library's own tests and not
+only in the benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from conftest import random_state
+from divdiff import engine, odd
+from divdiff.features import FeatureSet
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_hooks_run_clean():
+    tracing = load_tracing()
+    gen = np.random.default_rng(5)
+    logits = gen.normal(0.0, 1.5, size=(6, 5, 9))
+    state = random_state(gen, 6, 5, 9)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        for guidance in ("odd", "dpp"):
+            config = engine.GenerationConfig(steps=4, length=5, batch=6, guidance=guidance,
+                                             alpha=8.0, anneal="off")
+            engine.make_guidance_hook(config)(logits, state, 3)
+    assert tracer.missing == [] and tracer.hook_errors == {}
+    assert tracer.counts["calls:odd.step"] == 1 and tracer.counts["calls:dpp.step"] == 1
+    assert tracer.counts["calls:odd.project"] > 0
+    assert tracer.counts["odd.candidates"] == 5
+
+
+def test_odd_losses_lists_one_direction_per_candidate():
+    # the tracer's odd.active_share reads odd_losses(...)[1]: one entry per
+    # sample after the first, None where the residual is within tolerance
+    features = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    fs = FeatureSet(features, np.zeros(features.shape, dtype=np.int64), np.ones(4))
+    directions = odd.odd_losses(fs, 1e-8)[1]
+    assert len(directions) == 3
+    assert [d is None for d in directions] == [False, True, False]

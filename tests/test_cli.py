@@ -135,6 +135,39 @@ class TestInvariance:
         assert "prefix-invariant=False" in capsys.readouterr().out
 
 
+class TestConfigCasts:
+    @pytest.mark.parametrize("command, assignment", [
+        ("invariance", "invariance.m=abc"),
+        ("invariance", "invariance.b1=1.5"),
+        ("invariance", "invariance=3"),
+        ("grid", 'grid.seeds=["x"]'),
+        ("grid", "grid.seeds=3"),
+        ("generate", "model.problem=abc"),
+        ("generate", 'prompt=["x"]'),
+        ("generate", "prompt=5"),
+        ("gradcheck", "gradcheck_instances=abc"),
+        ("gradcheck", "gradcheck_instances=0"),
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, assignment):
+        config = write_config(tmp_path / "c.json")
+        assert cli.main([command, "--config", str(config), "--set", assignment]) == 2
+        key = assignment.split("=")[0]
+        assert f"error: {key} must be" in capsys.readouterr().err
+
+    def test_bigram_vocab_not_an_integer_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", prompt="none",
+                              model={"kind": "bigram", "vocab": "abc", "corpus": [[0, 1]]})
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert "error: model.vocab must be" in capsys.readouterr().err
+
+    def test_task_file_that_is_not_json_exits_2(self, tmp_path, capsys):
+        (tmp_path / "task.json").write_text("{not json")
+        config = write_config(tmp_path / "c.json",
+                              model={"kind": "planted", "task_path": "task.json"})
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert "error: model.task_path" in capsys.readouterr().err
+
+
 class TestReplayCommand:
     def test_replay_runs_trace(self, tmp_path, capsys, rng):
         blocks = rng.normal(size=(4, 2, 4, 6)).astype(np.float32)

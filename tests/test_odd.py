@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 
+import reference
 from conftest import random_state
 from divdiff.errors import DegenerateInputError, InvalidInputError
 from divdiff.features import FeatureSet, feature_set
 from divdiff.gradcheck import fd_odd_gradient, frozen_odd_targets, has_pool_tie, run_odd_suite
-from divdiff.odd import (
-    OddParams,
-    OrthoBasis,
-    anneal_alpha,
-    extend_basis,
-    odd_losses,
-    odd_step,
-    project_onto_basis,
-)
+from divdiff.odd import OddParams, anneal_alpha, odd_losses, odd_step, project_onto_basis
+from reference import OrthoBasis, extend_basis
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -27,24 +21,25 @@ def features_only(vectors, qualities=None):
 
 class TestProjection:
     def test_single_axis(self):
-        basis = OrthoBasis([E1])
+        basis = np.array([E1])
         np.testing.assert_allclose(project_onto_basis(basis, [3.0, 4.0]), [3.0, 0.0])
 
     def test_empty_basis(self):
-        assert not project_onto_basis(OrthoBasis([]), [1.0, 2.0]).any()
+        assert not project_onto_basis(np.empty((0, 2)), [1.0, 2.0]).any()
 
     def test_full_span_reproduces_input(self, rng):
         vectors = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        basis = OrthoBasis([vectors[:, i] for i in range(4)])
         v = rng.normal(size=4)
-        np.testing.assert_allclose(project_onto_basis(basis, v), v, atol=1e-9)
+        np.testing.assert_allclose(project_onto_basis(vectors.T, v), v, atol=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            project_onto_basis(OrthoBasis([E1]), [1.0, 2.0, 3.0])
+            project_onto_basis(np.array([E1]), [1.0, 2.0, 3.0])
 
 
 class TestExtendBasis:
+    """The list-based Gram-Schmidt of tests/reference.py."""
+
     def test_orthogonal_vector_appends(self):
         basis = extend_basis(OrthoBasis([E1]), E2)
         assert len(basis) == 2
@@ -95,50 +90,52 @@ class TestAnnealAlpha:
 class TestOddLosses:
     def test_single_sample_seeds_basis(self):
         fs = features_only([[3.0, 0.0]])
-        losses, dirs, basis = odd_losses(fs, 1e-8)
-        assert losses == [] and dirs == []
-        np.testing.assert_allclose(basis.vectors[0], E1)
+        upstream, dirs, basis = odd_losses(fs, 1e-8)
+        assert dirs == [] and not upstream.any()
+        np.testing.assert_allclose(basis, [E1])
 
     def test_orthogonal_second_sample(self):
         fs = features_only([[1.0, 0.0], [0.0, 2.0]])
-        losses, dirs, _ = odd_losses(fs, 1e-8)
-        assert losses[0] == pytest.approx(-2.0)
+        upstream, dirs, _ = odd_losses(fs, 1e-8)
+        np.testing.assert_allclose(upstream, [[0.0, 0.0], -E2])
         np.testing.assert_allclose(dirs[0], E2)
 
     def test_duplicate_sample_guarded(self):
         fs = features_only([[1.0, 1.0], [1.0, 1.0]])
-        losses, dirs, basis = odd_losses(fs, 1e-8)
-        assert losses[0] == 0.0 and dirs[0] is None
+        upstream, dirs, basis = odd_losses(fs, 1e-8)
+        assert dirs[0] is None and not upstream.any()
         assert len(basis) == 1
 
     def test_quality_weighting(self):
         fs = features_only([[1.0, 0.0], [0.0, 1.0]], qualities=[1.0, 0.25])
-        losses, _, _ = odd_losses(fs, 1e-8)
-        assert losses[0] == pytest.approx(-0.25)
+        upstream, _, _ = odd_losses(fs, 1e-8)
+        np.testing.assert_allclose(upstream[1], -0.25 * E2)
 
     def test_matches_extend_basis_reference(self):
-        # the per-sample loop over project_onto_basis and extend_basis,
-        # bit for bit; B > V and a repeated row hit the tolerance branches
+        # the per-sample loop over the reference's list basis and
+        # extend_basis, bit for bit; B > V and a repeated row hit the
+        # tolerance branches
         gen = np.random.default_rng(12)
         v = gen.random((8, 4))
         v[3] = v[1]
         fs = features_only(v, qualities=gen.random(8))
         basis = OrthoBasis([v[0] / np.linalg.norm(v[0])], tolerance=1e-8)
-        ref_losses, ref_dirs = [], []
+        ref_dirs = []
         for i in range(1, 8):
-            residual = v[i] - project_onto_basis(basis, v[i])
+            residual = v[i] - reference.project_onto_basis(basis, v[i])
             norm = np.linalg.norm(residual)
-            ref_losses.append(0.0 if norm <= 1e-8 else float(-fs.qualities[i] * norm))
             ref_dirs.append(None if norm <= 1e-8 else residual / norm)
             basis = extend_basis(basis, v[i])
-        losses, dirs, got = odd_losses(fs, 1e-8)
-        assert losses == ref_losses
+        upstream, dirs, got = odd_losses(fs, 1e-8)
         assert [d is None for d in dirs] == [d is None for d in ref_dirs]
         assert any(d is None for d in dirs) and dirs[-1] is None
-        for d, ref in zip(dirs, ref_dirs):
-            if ref is not None:
+        for i, (d, ref) in enumerate(zip(dirs, ref_dirs), start=1):
+            if ref is None:
+                assert not upstream[i].any()
+            else:
                 np.testing.assert_array_equal(d, ref)
-        np.testing.assert_array_equal(np.array(got.vectors), np.array(basis.vectors))
+                np.testing.assert_array_equal(upstream[i], -fs.qualities[i] * ref)
+        np.testing.assert_array_equal(got, np.array(basis.vectors))
 
     def test_integer_features_match_float(self):
         # a (3, 4) first row normalizes to (0.6, 0.8); integer storage
@@ -147,12 +144,13 @@ class TestOddLosses:
         q = np.array([1.0, 0.5, 2.0])
         fs = FeatureSet(features=ints, routing=np.zeros(ints.shape, dtype=np.int64),
                         qualities=q)
-        losses, dirs, basis = odd_losses(fs, 1e-8)
-        ref_losses, ref_dirs, ref_basis = odd_losses(features_only(ints, q), 1e-8)
-        assert losses == ref_losses
+        upstream, dirs, basis = odd_losses(fs, 1e-8)
+        ref_upstream, ref_dirs, ref_basis = odd_losses(features_only(ints, q), 1e-8)
+        np.testing.assert_array_equal(upstream, ref_upstream)
         np.testing.assert_array_equal(dirs[0], ref_dirs[0])
-        np.testing.assert_array_equal(np.array(basis.vectors), np.array(ref_basis.vectors))
-        assert losses[0] == pytest.approx(-0.5 * 0.8)
+        np.testing.assert_array_equal(basis, ref_basis)
+        # residual (0.64, -0.48) has norm 0.8: the row is -0.5 * (0.8, -0.6)
+        np.testing.assert_allclose(upstream[1], [-0.4, 0.3])
 
     def test_degenerate_first_feature(self):
         fs = features_only([[0.0, 0.0], [1.0, 0.0]])
@@ -249,9 +247,7 @@ class TestOddStep:
             state = random_state(gen, 16, 4, 32)
             fs, _ = feature_set(logits, state)
             _, _, basis = odd_losses(fs, 1e-8)
-            gram = np.array(
-                [[float(np.dot(a, b)) for b in basis.vectors] for a in basis.vectors]
-            )
+            gram = np.array([[float(np.dot(a, b)) for b in basis] for a in basis])
             np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-7)
 
     def test_first_order_descent(self):
@@ -259,7 +255,7 @@ class TestOddStep:
         for seed in range(5):
             logits, state = guided_instance(30 + seed, batch=4, length=4, vocab=6)
             fs0, _ = feature_set(logits, state)
-            targets = frozen_odd_targets(fs0.features, 1e-8)
+            targets = frozen_odd_targets(fs0, 1e-8)
             q0 = fs0.qualities.copy()
 
             def frozen_loss(x):
