@@ -8,7 +8,7 @@ evaluation harness (pass@k, diversity, invariance, overhead) round out
 the library.
 """
 
-from .dpp import DppParams, build_l_ensemble, dpp_grad_logits, dpp_loss, dpp_step
+from .dpp import build_l_ensemble, dpp_grad_logits, dpp_loss, dpp_step
 from .engine import (
     GenerationConfig,
     GenerationRun,
@@ -59,7 +59,7 @@ from .models import (
     default_task,
     planted_predict,
 )
-from .odd import OddParams, anneal_alpha, odd_losses, odd_step, project_onto_basis
+from .odd import anneal_alpha, odd_losses, odd_step, project_onto_basis
 from .state import MaskState, Schedule, build_schedule, forward_mask, mask_token
 from .streams import sample_stream, stream_uniforms
 from .trace import ReplayDenoiser, trace_read, trace_write

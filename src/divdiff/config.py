@@ -16,7 +16,7 @@ from pathlib import Path
 from .engine import GenerationConfig
 from .errors import InvalidInputError
 from .harness import GridSpec
-from .models import PlantedDenoiser, PlantedTask, bigram_train, default_task, load_task
+from .models import PlantedDenoiser, PlantedTask, bigram_train, default_task
 from .trace import trace_read
 
 SCHEMA_VERSION = 1
@@ -29,20 +29,14 @@ DEFAULT_GRID = {
     "problems": list(range(10)),
 }
 
+# a knob's default is the GenerationConfig field's
 DEFAULTS = {
-    "temperature": 0.0,
-    "batch": 16,
-    "seed": 0,
-    "guidance": "none",
-    "alpha": 16.0,
-    "tolerance": 1e-8,
-    "jitter": 1e-3,
+    **{key: getattr(GenerationConfig, key) for key in
+       ("temperature", "batch", "seed", "guidance", "alpha", "tolerance", "jitter")},
     "anneal": True,
     "prompt": "default",
     "model": {"kind": "planted", "problem": 0},
 }
-
-DEFAULT_STEPS = 32
 
 
 def load_config(path) -> dict:
@@ -97,14 +91,23 @@ def apply_env(doc: dict, environ=None) -> dict:
     return doc
 
 
-def _anneal_mode(value) -> str:
-    if value is True:
-        return "factor"
-    if value is False:
-        return "off"
-    if value in ("factor", "linear", "off"):
-        return value
-    raise InvalidInputError(f"anneal must be true/false or factor/linear/off, got {value!r}")
+def _anneal_mode(value):
+    """anneal true/false as the factor/off mode; GenerationConfig checks the rest."""
+    if isinstance(value, bool):
+        return "factor" if value else "off"
+    return value
+
+
+def _model_json(root: Path, spec: dict, key: str):
+    """The JSON in file model.<key>; a missing or bad file is an error naming the key."""
+    path = root / spec[key]
+    if not path.is_file():
+        raise InvalidInputError(f"model.{key}: file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InvalidInputError(f"model.{key}: {path} is not JSON ({exc})") from None
 
 
 def build_model(doc: dict, base_dir=None):
@@ -118,22 +121,19 @@ def build_model(doc: dict, base_dir=None):
         if "task" in spec:
             task = PlantedTask.from_json(spec["task"])
         elif "task_path" in spec:
-            path = root / spec["task_path"]
-            if not path.is_file():
-                raise InvalidInputError(f"task file not found: {path}")
-            try:
-                task = load_task(path)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"model.task_path: {exc}") from None
+            task = PlantedTask.from_json(_model_json(root, spec, "task_path"))
         else:
-            task = default_task(_cast("model.problem", spec.get("problem", 0), int))
+            problem = _cast("model.problem", spec.get("problem", 0), int)
+            try:
+                task = default_task(problem)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"model.problem: {exc}") from None
         return PlantedDenoiser(task), task
     if kind == "bigram":
         vocab = spec.get("vocab")
         corpus = spec.get("corpus")
         if corpus is None and "corpus_path" in spec:
-            with open(root / spec["corpus_path"], "r", encoding="utf-8") as fh:
-                corpus = json.load(fh)
+            corpus = _model_json(root, spec, "corpus_path")
         if vocab is None or corpus is None:
             raise InvalidInputError("bigram model needs 'vocab' and 'corpus'")
         return bigram_train(corpus, _cast("model.vocab", vocab, int)), None
@@ -188,18 +188,18 @@ def generation_config(doc: dict, model=None, prompt=None) -> GenerationConfig:
 
     length = doc.get("length")
     if length is None:
-        length = getattr(model, "length", None) or 64
+        length = getattr(model, "length", None) or GenerationConfig.length
     length = _cast("length", length, int)
     batch = getattr(model, "batch", None) or knob("batch", int)
     steps = doc.get("steps")
     if steps is None:
-        steps = min(DEFAULT_STEPS, length - (0 if prompt is None else len(prompt)))
+        steps = min(GenerationConfig.steps, length - (0 if prompt is None else len(prompt)))
     steps = _cast("steps", steps, int)
     model_steps = getattr(model, "steps", None)
     if model_steps is not None:
         steps = min(steps, model_steps)
     top_k = doc.get("feature_top_k")
-    config = GenerationConfig(
+    return GenerationConfig(
         temperature=knob("temperature", float),
         steps=steps,
         length=length,
@@ -212,24 +212,35 @@ def generation_config(doc: dict, model=None, prompt=None) -> GenerationConfig:
         anneal=_anneal_mode(doc.get("anneal", DEFAULTS["anneal"])),
         feature_top_k=None if top_k is None else _cast("feature_top_k", top_k, int),
     )
-    return config.validate()
 
 
 def grid_spec(doc: dict) -> GridSpec:
     grid = dict(DEFAULT_GRID)
     grid.update(doc.get("grid", {}))
 
-    def values(key, kind):
-        if not isinstance(grid[key], list):
-            raise InvalidInputError(f"grid.{key} must be a list, got {grid[key]!r}")
-        return [_cast(f"grid.{key}", item, kind) for item in grid[key]]
+    def values(key, kind=None, knob=None):
+        items = grid[key]
+        if not isinstance(items, list):
+            raise InvalidInputError(f"grid.{key} must be a list, got {items!r}")
+        if kind is not None:
+            items = [_cast(f"grid.{key}", item, kind) for item in items]
+        if knob is not None:  # the GenerationConfig field that checks each item
+            for item in items:
+                try:
+                    GenerationConfig(**{knob: item})
+                except InvalidInputError as exc:
+                    raise InvalidInputError(f"grid.{key}: {exc}") from None
+        return items
 
+    problems = values("problems", int)
+    if any(p < 0 for p in problems):
+        raise InvalidInputError(f"grid.problems must be >= 0, got {problems!r}")
     return GridSpec(
-        temperatures=values("temperatures", float),
-        alphas=values("alphas", float),
-        guidances=[str(g) for g in grid["guidances"]],
+        temperatures=values("temperatures", float, "temperature"),
+        alphas=values("alphas", float, "alpha"),
+        guidances=values("guidances", knob="guidance"),
         seeds=values("seeds", int),
-        problems=values("problems", int),
+        problems=problems,
     )
 
 

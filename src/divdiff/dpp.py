@@ -5,17 +5,16 @@ weighted by the quality outer product. The loss is the negative log-det
 ratio of the jittered kernel; its analytic gradient flows through the
 kernel, the normalization, and the feature extractor back to the masked
 logits. Unlike the sequential guidance, every sample's update depends on
-the whole batch.
+the whole batch. dpp_step reads its knobs from the already-checked
+GenerationConfig.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
+from .engine import GenerationConfig
 from .errors import (
     DegenerateInputError,
     FactorizationError,
@@ -27,27 +26,8 @@ from .odd import anneal_alpha
 from .state import MaskState
 
 
-@dataclass
-class DppParams:
-    alpha: float
-    jitter: float = 1e-3
-    anneal: str = "factor"
-
-    def __post_init__(self):
-        for name in ("alpha", "jitter"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidInputError(f"DppParams: {name} must be finite, got {value}")
-        if self.alpha < 0:
-            raise InvalidInputError("DppParams: alpha must be >= 0")
-        if self.jitter <= 0:
-            raise InvalidInputError("DppParams: jitter must be > 0")
-
-
 def _kernel(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L-ensemble, L2-normalized features, feature norms) of a feature set."""
-    if fs.qualities is None:
-        raise InvalidInputError("build_l_ensemble: feature set is missing qualities")
     v = fs.features
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms <= 0):
@@ -118,11 +98,10 @@ def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None = No
     return backprop_to_logits(grad_features, fs, ud, logits=x, step=step)
 
 
-def dpp_step(logits, state: MaskState, params: DppParams, t: int,
-             total_steps: int | None = None, top_k: int | None = None) -> np.ndarray:
-    """One joint update: X - alpha_t * grad of the DPP loss."""
+def dpp_step(logits, state: MaskState, config: GenerationConfig, t: int) -> np.ndarray:
+    """One joint update at t remaining steps: X - alpha_t * grad of the DPP loss."""
     x = np.asarray(logits, dtype=np.float64)
-    alpha_t = anneal_alpha(params.alpha, t, params.anneal, total_steps)
+    alpha_t = anneal_alpha(config.alpha, t, config.anneal, config.steps)
     if alpha_t == 0.0:
         return x.copy()
-    return dpp_grad_logits(x, state, params.jitter, top_k=top_k, step=alpha_t)
+    return dpp_grad_logits(x, state, config.jitter, top_k=config.feature_top_k, step=alpha_t)

@@ -8,6 +8,8 @@ independent of the batch size and of the host thread count. A run
 computes its streams' uniforms a block of steps at a time, each block in
 one vectorized pass (see streams.stream_uniforms); they are the same
 draws the per-key sample_stream Generators give.
+GenerationConfig, frozen and checked as it is built or replaced, is the
+one definition of every knob; the guidance steps read theirs from it.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ ANNEAL_MODES = ("factor", "linear", "off")
 _BLOCK_DRAWS = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationConfig:
-    """Knobs for one generation run."""
+    """Knobs for one generation run; an invalid value raises
+    InvalidInputError when the config is built or replaced."""
 
     temperature: float = 0.0
     steps: int = 32
@@ -50,7 +53,7 @@ class GenerationConfig:
     anneal: str = "factor"
     feature_top_k: int | None = None
 
-    def validate(self) -> "GenerationConfig":
+    def __post_init__(self):
         for name in ("temperature", "alpha", "tolerance", "jitter"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
@@ -68,7 +71,6 @@ class GenerationConfig:
             raise InvalidInputError("tolerance and jitter must be > 0")
         if self.feature_top_k is not None and self.feature_top_k < 1:
             raise InvalidInputError("feature_top_k must be >= 1 when set")
-        return self
 
 
 def sample_tokens(logits, temperature: float, uniforms,
@@ -123,21 +125,10 @@ def make_guidance_hook(config: GenerationConfig):
         return None
     # imported as the hook is built, so a patched odd_step or dpp_step is the one it calls
     if config.guidance == "odd":
-        from .odd import OddParams, odd_step as step
-
-        params = OddParams(alpha=config.alpha, tolerance=config.tolerance, anneal=config.anneal)
-    elif config.guidance == "dpp":
-        from .dpp import DppParams, dpp_step as step
-
-        params = DppParams(alpha=config.alpha, jitter=config.jitter, anneal=config.anneal)
+        from .odd import odd_step as step
     else:
-        raise InvalidInputError(f"unknown guidance {config.guidance!r}")
-
-    def hook(logits, state, remaining):
-        return step(logits, state, params, remaining,
-                    total_steps=config.steps, top_k=config.feature_top_k)
-
-    return hook
+        from .dpp import dpp_step as step
+    return lambda logits, state, remaining: step(logits, state, config, remaining)
 
 
 def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
@@ -213,7 +204,6 @@ def run_generation(model, config: GenerationConfig, prompt=None,
     Deterministic given (seed, model, config). Pass guidance explicitly to
     override the hook built from the config (None disables guidance).
     """
-    config.validate()
     prompt_arr = None if prompt is None else np.asarray(prompt, dtype=np.int64)
     plen = 0 if prompt_arr is None else prompt_arr.size
     if plen >= config.length:

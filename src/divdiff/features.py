@@ -47,7 +47,7 @@ class UnifiedDistribution:
 
 @dataclass
 class FeatureSet:
-    """Max-pooled features, argmax routing, and optional quality scores.
+    """Max-pooled features, argmax routing, and quality scores.
 
     routing[i, w] is the sequence position whose row attained the max for
     vocabulary entry w (ties to the lowest position), or -1 when the entry
@@ -56,7 +56,7 @@ class FeatureSet:
 
     features: np.ndarray          # (B, V)
     routing: np.ndarray           # (B, V) int64
-    qualities: np.ndarray | None = None  # (B,)
+    qualities: np.ndarray         # (B,)
 
 
 def unified_distribution(logits, state: MaskState) -> UnifiedDistribution:
@@ -93,7 +93,7 @@ def unified_distribution(logits, state: MaskState) -> UnifiedDistribution:
 
 
 def extract_features(ud: UnifiedDistribution, top_k: int | None = None) -> FeatureSet:
-    """Max-pool the pooled rows over the sequence dimension.
+    """Max-pool the pooled rows over the sequence dimension (qualities from ud).
 
     With top_k set, pooling is restricted to the union of each row's top-k
     vocabulary entries; excluded entries get feature 0 and routing -1.
@@ -107,12 +107,12 @@ def extract_features(ud: UnifiedDistribution, top_k: int | None = None) -> Featu
     # a float argmax across the sequence axis would
     routing = (rows == features[:, None, :]).argmax(axis=1) + ud.prompt_len
     if top_k is None or top_k >= v:
-        return FeatureSet(features=features, routing=routing)
+        return FeatureSet(features, routing, ud.qualities)
     keep = np.zeros((b, v), dtype=bool)
     order = np.argsort(-rows, axis=2, kind="stable")[..., :top_k]
     keep[np.arange(b)[:, None, None], order] = True
-    return FeatureSet(features=np.where(keep, features, 0.0),
-                      routing=np.where(keep, routing, -1))
+    return FeatureSet(np.where(keep, features, 0.0), np.where(keep, routing, -1),
+                      ud.qualities)
 
 
 def quality_scores(logits, state: MaskState) -> np.ndarray:
@@ -125,11 +125,9 @@ def quality_scores(logits, state: MaskState) -> np.ndarray:
 
 def feature_set(logits, state: MaskState,
                 top_k: int | None = None) -> tuple[FeatureSet, UnifiedDistribution]:
-    """Convenience bundle: unified distribution, features, and qualities."""
+    """Convenience bundle: features (with qualities) and their distribution."""
     ud = unified_distribution(logits, state)
-    fs = extract_features(ud, top_k=top_k)
-    fs.qualities = ud.qualities
-    return fs, ud
+    return extract_features(ud, top_k=top_k), ud
 
 
 def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpp import dpp_grad_logits, dpp_loss
+from .engine import GenerationConfig
 from .features import (
     FeatureSet,
     backprop_to_logits,
@@ -23,7 +24,7 @@ from .features import (
     feature_set,
     unified_distribution,
 )
-from .odd import OddParams, odd_losses, odd_step, project_onto_basis
+from .odd import odd_losses, odd_step, project_onto_basis
 from .state import MaskState, mask_token
 
 MASKED_FRACTIONS = (0.25, 0.5, 1.0)
@@ -214,13 +215,13 @@ def run_odd_suite(instances: int = 120, seed: int = 1,
                   tolerance: float = DEFAULT_TOLERANCE) -> SuiteResult:
     rng = np.random.default_rng(seed)
     fd_tol = 1e-8
-    params = OddParams(alpha=1.0, tolerance=fd_tol, anneal="off")
+    config = GenerationConfig(alpha=1.0, tolerance=fd_tol, anneal="off")
     worst = 0.0
     for _ in range(instances):
         logits, state = _draw_instance(
             rng, 2, lambda lg, st: _min_residual(lg, st, fd_tol) > 1e-3
         )
-        analytic = np.asarray(logits, dtype=np.float64) - odd_step(logits, state, params, t=1)
+        analytic = np.asarray(logits, dtype=np.float64) - odd_step(logits, state, config, t=1)
         numeric = fd_odd_gradient(logits, state, fd_tol, h)
         worst = max(worst, relative_error(analytic, numeric))
     return SuiteResult("orthogonal-residual", instances, worst, tolerance)

@@ -91,15 +91,6 @@ class PlantedTask:
             raise InvalidInputError(f"PlantedTask: bad task document ({exc})") from exc
 
 
-def load_task(path) -> PlantedTask:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise InvalidInputError(f"task file {path} is not JSON ({exc})") from exc
-    return PlantedTask.from_json(doc)
-
-
 def save_task(task: PlantedTask, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(task.to_json(), fh, indent=2)
@@ -145,6 +136,8 @@ def default_task(problem: int, vocab: int = DEFAULT_VOCAB, length: int = DEFAULT
     valid template. Template 0 is incorrect by default, and so is the
     template that conditioned greedy decoding collapses to.
     """
+    if problem < 0:
+        raise InvalidInputError(f"default_task: problem id must be >= 0, got {problem}")
     rng = np.random.default_rng([_TASK_STREAM_SALT, int(problem)])
     alts = num_templates - 1
     if length < 6:
@@ -270,17 +263,15 @@ class BigramDenoiser:
         if state.vocab != self.vocab:
             raise InvalidInputError("BigramDenoiser: vocabulary mismatch")
         b, s = state.batch, state.length
-        probs = np.empty((b, s, self.vocab), dtype=np.float64)
-        for i in range(b):
-            left = np.tile(self.unigram, (s, 1))
-            right = np.tile(self.unigram, (s, 1))
-            for pos in range(s):
-                if pos > 0 and not state.masked[i, pos - 1]:
-                    left[pos] = self.forward[state.realized[i, pos - 1]]
-                if pos + 1 < s and not state.masked[i, pos + 1]:
-                    right[pos] = self.reverse[state.realized[i, pos + 1]]
-            probs[i] = 0.5 * (left + right)
-        return np.log(probs)
+        known = ~state.masked[:, :, None]
+        # committed tokens index the transition rows; masked ones read row 0,
+        # never the mask id, and take the unigram instead
+        ids = np.where(state.masked, 0, state.realized)
+        left = np.tile(self.unigram, (b, s, 1))
+        right = np.tile(self.unigram, (b, s, 1))
+        left[:, 1:] = np.where(known[:, :-1], self.forward[ids[:, :-1]], self.unigram)
+        right[:, :-1] = np.where(known[:, 1:], self.reverse[ids[:, 1:]], self.unigram)
+        return np.log(0.5 * (left + right))
 
 
 def bigram_train(corpus, vocab: int) -> BigramDenoiser:

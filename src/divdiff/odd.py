@@ -9,35 +9,17 @@ order by Gram-Schmidt with a second orthogonalization pass, and
 project_onto_basis is the one projection onto it. The basis and
 projections are constants under differentiation, so sample i's update
 depends only on samples 1..i: prefixes agree across batch sizes.
+odd_step reads its knobs from the already-checked GenerationConfig.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .engine import GenerationConfig
 from .errors import DegenerateInputError, InvalidInputError
 from .features import FeatureSet, backprop_to_logits, feature_set
 from .state import MaskState
-
-
-@dataclass
-class OddParams:
-    alpha: float
-    tolerance: float = 1e-8
-    anneal: str = "factor"
-
-    def __post_init__(self):
-        for name in ("alpha", "tolerance"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidInputError(f"OddParams: {name} must be finite, got {value}")
-        if self.alpha < 0:
-            raise InvalidInputError("OddParams: alpha must be >= 0")
-        if self.tolerance <= 0:
-            raise InvalidInputError("OddParams: tolerance must be > 0")
 
 
 def project_onto_basis(basis, v) -> np.ndarray:
@@ -104,8 +86,8 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     q = fs.qualities
     if v.ndim != 2 or v.shape[0] < 1:
         raise InvalidInputError("odd_losses: expected (B, V) features with B >= 1")
-    if q is None or q.shape != (v.shape[0],):
-        raise InvalidInputError("odd_losses: feature set is missing quality scores")
+    if q.shape != (v.shape[0],):
+        raise InvalidInputError(f"odd_losses: qualities {q.shape} != ({v.shape[0]},)")
     first_norm = np.linalg.norm(v[0])
     if first_norm <= tolerance:
         raise DegenerateInputError("odd_losses: first feature vector is numerically zero")
@@ -130,17 +112,16 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     return upstream, directions, basis[:rank]
 
 
-def odd_step(logits, state: MaskState, params: OddParams, t: int,
-             total_steps: int | None = None, top_k: int | None = None) -> np.ndarray:
-    """One guidance update: X - alpha_t * grad of the summed residual loss.
+def odd_step(logits, state: MaskState, config: GenerationConfig, t: int) -> np.ndarray:
+    """One update at t remaining steps: X - alpha_t * grad of the summed loss.
 
     Sample 1 and any zero-residual sample come back bit-identical; sample
     i's output depends only on samples 1..i.
     """
     x = np.asarray(logits, dtype=np.float64)
-    alpha_t = anneal_alpha(params.alpha, t, params.anneal, total_steps)
+    alpha_t = anneal_alpha(config.alpha, t, config.anneal, config.steps)
     if alpha_t == 0.0 or x.shape[0] == 1:
         return x.copy()
-    fs, ud = feature_set(x, state, top_k=top_k)
-    upstream, _, _ = odd_losses(fs, params.tolerance)
+    fs, ud = feature_set(x, state, top_k=config.feature_top_k)
+    upstream, _, _ = odd_losses(fs, config.tolerance)
     return backprop_to_logits(upstream, fs, ud, logits=x, step=alpha_t)

@@ -9,7 +9,8 @@ method states it:
 - Gram-Schmidt over a Python list of basis vectors (OrthoBasis,
   extend_basis, project_onto_basis), with a second orthogonalization pass;
 - the softmax vector-Jacobian product of one row at a time;
-- a sampler that draws from one sample_stream per (sample, step).
+- a sampler that draws from one sample_stream per (sample, step);
+- the bigram denoiser's prediction, one sample and one position at a time.
 
 The DPP kernel is joint over the batch, so its feature gradient is the
 same dense matrix algebra as the library's; around it, features and
@@ -230,3 +231,23 @@ def denoise_step(model, state: MaskState, t: int, config, schedule) -> MaskState
             out.realized[i, p] = proposals[i, p]
             out.masked[i, p] = False
     return out
+
+
+# ---- the bigram denoiser -----------------------------------------------------
+
+def bigram_predict(model, state: MaskState) -> np.ndarray:
+    """BigramDenoiser.predict: per position, the mean of the left neighbor's
+    forward row and the right neighbor's reverse row, the unigram standing
+    in for a masked or absent neighbor."""
+    b, s = state.batch, state.length
+    probs = np.empty((b, s, model.vocab), dtype=np.float64)
+    for i in range(b):
+        left = np.tile(model.unigram, (s, 1))
+        right = np.tile(model.unigram, (s, 1))
+        for pos in range(s):
+            if pos > 0 and not state.masked[i, pos - 1]:
+                left[pos] = model.forward[state.realized[i, pos - 1]]
+            if pos + 1 < s and not state.masked[i, pos + 1]:
+                right[pos] = model.reverse[state.realized[i, pos + 1]]
+        probs[i] = 0.5 * (left + right)
+    return np.log(probs)

@@ -25,7 +25,7 @@ from divdiff.harness import (
     pass_at_k,
 )
 from divdiff.models import PlantedDenoiser, default_problem
-from divdiff.odd import OddParams, odd_losses, odd_step
+from divdiff.odd import odd_losses, odd_step
 from divdiff.state import MaskState, mask_token
 from divdiff.trace import trace_read, trace_write
 
@@ -70,7 +70,7 @@ def test_criterion_2_basis_correctness(rng):
         realized = gen.integers(0, 32, size=(16, 6)).astype(np.int64)
         realized[masked] = mask_token(32)
         state = MaskState(masked, realized, 32)
-        odd_step(logits, state, OddParams(alpha=8.0, anneal="off"), t=4)
+        odd_step(logits, state, GenerationConfig(alpha=8.0, anneal="off"), t=4)
         fs, _ = feature_set(logits, state)
         _, _, basis = odd_losses(fs, 1e-8)
         gram = np.array([[float(np.dot(a, b)) for b in basis] for a in basis])

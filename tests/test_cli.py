@@ -160,6 +160,48 @@ class TestConfigCasts:
         assert cli.main(["generate", "--config", str(config)]) == 2
         assert "error: model.vocab must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment", [
+        'grid.guidances=["bogus"]', "grid.temperatures=[-1]", "grid.alphas=[-3]",
+        "grid.problems=[-1]",
+    ])
+    def test_bad_grid_value_exits_2_naming_the_key(self, tmp_path, capsys, assignment):
+        # each of these ran as one failed cell and exited 0
+        config = write_config(tmp_path / "c.json", batch=2, grid={
+            "temperatures": [1.0], "alphas": [8.0], "guidances": ["odd"],
+            "seeds": [0], "problems": [0],
+        })
+        assert cli.main(["grid", "--config", str(config), "--set", assignment]) == 2
+        assert f"error: {assignment.split('=')[0]}" in capsys.readouterr().err
+
+    def test_negative_problem_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        assert cli.main(["generate", "--config", str(config), "--set", "model.problem=-1"]) == 2
+        assert "error: model.problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "bigram", "vocab": 5, "corpus_path": "missing.json"},
+        {"kind": "planted", "task_path": "missing.json"},
+    ])
+    def test_missing_model_file_exits_2(self, tmp_path, capsys, model):
+        config = write_config(tmp_path / "c.json", prompt="none", model=model)
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        key = next(k for k in model if k.endswith("_path"))
+        assert f"error: model.{key}: file not found" in capsys.readouterr().err
+
+    def test_corpus_file_is_read(self, tmp_path, capsys):
+        (tmp_path / "corpus.json").write_text("[[0, 1, 2, 3, 4, 0]]")
+        config = write_config(tmp_path / "c.json", batch=2, length=6, prompt="none",
+                              model={"kind": "bigram", "vocab": 5, "corpus_path": "corpus.json"})
+        assert cli.main(["generate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.count("sample") == 2
+
+    def test_corpus_file_that_is_not_json_exits_2(self, tmp_path, capsys):
+        (tmp_path / "corpus.json").write_text("[[0, 1]")
+        config = write_config(tmp_path / "c.json", prompt="none",
+                              model={"kind": "bigram", "vocab": 5, "corpus_path": "corpus.json"})
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert "error: model.corpus_path" in capsys.readouterr().err
+
     def test_task_file_that_is_not_json_exits_2(self, tmp_path, capsys):
         (tmp_path / "task.json").write_text("{not json")
         config = write_config(tmp_path / "c.json",

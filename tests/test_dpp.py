@@ -1,10 +1,11 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from conftest import random_state
-from divdiff.dpp import DppParams, build_l_ensemble, dpp_grad_logits, dpp_loss, dpp_step
+from divdiff.dpp import build_l_ensemble, dpp_grad_logits, dpp_loss, dpp_step
 from divdiff.errors import DegenerateInputError, InvalidInputError
 from divdiff.features import FeatureSet, feature_set
 from divdiff.gradcheck import fd_dpp_gradient, has_pool_tie, relative_error, run_dpp_suite
@@ -123,23 +124,33 @@ class TestDppGradLogits:
 
 
 class TestDppParams:
+    """dpp_step's knobs, checked by the GenerationConfig it reads them from."""
+
     @pytest.mark.parametrize("knob", ["alpha", "jitter"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, knob, value):
         with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
-            DppParams(**{"alpha": 1.0, knob: value})
+            GenerationConfig(**{"alpha": 1.0, knob: value})
+        with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
+            replace(GenerationConfig(guidance="dpp"), **{knob: value})
+
+    def test_knobs_are_frozen(self):
+        config = GenerationConfig(guidance="dpp")
+        for knob in ("alpha", "jitter", "anneal", "steps", "feature_top_k"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, knob, getattr(config, knob))
 
 
 class TestDppStep:
     def test_alpha_zero_identity(self):
         logits, state = guided_instance(4)
-        out = dpp_step(logits, state, DppParams(alpha=0.0), t=5)
+        out = dpp_step(logits, state, GenerationConfig(alpha=0.0), t=5)
         np.testing.assert_array_equal(out, logits)
 
     def test_fully_committed_single_sample_identity(self, rng):
         state = random_state(rng, 1, 3, 4, masked_fraction=0.0)
         logits = rng.normal(size=(1, 3, 4))
-        out = dpp_step(logits, state, DppParams(alpha=8.0, anneal="off"), t=5)
+        out = dpp_step(logits, state, GenerationConfig(alpha=8.0, anneal="off"), t=5)
         np.testing.assert_array_equal(out, logits)
 
     def test_small_step_descends(self):
@@ -154,7 +165,7 @@ class TestDppStep:
                 normed = v / np.linalg.norm(v, axis=1, keepdims=True)
                 return dpp_loss((normed @ normed.T) * np.outer(q0, q0), 1e-3)
 
-            out = dpp_step(logits, state, DppParams(alpha=1e-3, anneal="off"), t=7)
+            out = dpp_step(logits, state, GenerationConfig(alpha=1e-3, anneal="off"), t=7)
             assert frozen_loss(out) <= frozen_loss(logits) + 1e-9
 
     def test_no_prefix_invariance_differential(self):

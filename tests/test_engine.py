@@ -264,14 +264,14 @@ class TestGenerateBatch:
 class TestConfigValidation:
     def test_rejects_bad_guidance(self):
         with pytest.raises(InvalidInputError):
-            GenerationConfig(guidance="both").validate()
+            GenerationConfig(guidance="both")
 
     def test_rejects_negative_temperature(self):
         with pytest.raises(InvalidInputError):
-            GenerationConfig(temperature=-1.0).validate()
+            GenerationConfig(temperature=-1.0)
 
     @pytest.mark.parametrize("knob", ["temperature", "alpha", "tolerance", "jitter"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_knob(self, knob, value):
         with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
-            GenerationConfig(**{knob: value}).validate()
+            GenerationConfig(**{knob: value})

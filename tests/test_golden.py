@@ -18,10 +18,10 @@ import pytest
 
 import divdiff
 from conftest import random_state
-from divdiff.dpp import DppParams, dpp_step
+from divdiff.dpp import dpp_step
 from divdiff.engine import GenerationConfig, run_generation
 from divdiff.models import PlantedDenoiser, default_problem
-from divdiff.odd import OddParams, odd_step
+from divdiff.odd import odd_step
 from divdiff.trace import ReplayDenoiser
 
 ALPHA = 16.0
@@ -158,8 +158,8 @@ def _guided_inputs():
 
 
 @pytest.mark.parametrize("step", [
-    lambda x, st: odd_step(x, st, OddParams(alpha=ALPHA), t=4),
-    lambda x, st: dpp_step(x, st, DppParams(alpha=ALPHA), t=4),
+    lambda x, st: odd_step(x, st, GenerationConfig(alpha=ALPHA), t=4),
+    lambda x, st: dpp_step(x, st, GenerationConfig(alpha=ALPHA), t=4),
 ], ids=["odd", "dpp"])
 def test_guidance_leaves_input_logits_untouched(step):
     logits, state = _guided_inputs()

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import reference
+from conftest import random_state
 from divdiff.engine import GenerationConfig, generate_batch
 from divdiff.errors import InvalidInputError
 from divdiff.models import (
@@ -12,7 +14,6 @@ from divdiff.models import (
     check_answer,
     default_problem,
     default_task,
-    load_task,
     planted_predict,
     save_task,
 )
@@ -139,7 +140,7 @@ class TestTaskValidation:
         task = default_task(3)
         path = tmp_path / "task.json"
         save_task(task, path)
-        loaded = load_task(path)
+        loaded = PlantedTask.from_json(json.loads(path.read_text()))
         np.testing.assert_array_equal(loaded.templates, task.templates)
         assert loaded.correct == task.correct
         assert loaded.skew == task.skew
@@ -150,6 +151,10 @@ class TestTaskValidation:
 
 
 class TestDefaultTask:
+    def test_rejects_negative_problem(self):
+        with pytest.raises(InvalidInputError, match="problem id must be >= 0"):
+            default_task(-1)
+
     def test_deterministic_per_problem(self):
         a, b = default_task(11), default_task(11)
         np.testing.assert_array_equal(a.templates, b.templates)
@@ -220,6 +225,16 @@ class TestBigram:
         logits = model.predict(state, 0)
         # all neighbors masked: every row is the unigram
         np.testing.assert_allclose(np.exp(logits[0]), np.tile(model.unigram, (3, 1)))
+
+    def test_predict_matches_reference_loop(self):
+        gen = np.random.default_rng(11)
+        for _ in range(300):
+            b, s, v = (int(n) for n in gen.integers([1, 1, 2], [7, 11, 10], endpoint=True))
+            corpus = [gen.integers(0, v, size=int(gen.integers(1, 9))) for _ in range(4)]
+            model = bigram_train(corpus, v)
+            state = random_state(gen, b, s, v, masked_fraction=gen.choice([0.0, 0.5, 1.0]))
+            np.testing.assert_array_equal(model.predict(state, 0),
+                                          reference.bigram_predict(model, state))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidInputError):

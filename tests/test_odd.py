@@ -1,12 +1,15 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 import reference
 from conftest import random_state
+from divdiff.engine import GenerationConfig
 from divdiff.errors import DegenerateInputError, InvalidInputError
 from divdiff.features import FeatureSet, feature_set
 from divdiff.gradcheck import fd_odd_gradient, frozen_odd_targets, has_pool_tie, run_odd_suite
-from divdiff.odd import OddParams, anneal_alpha, odd_losses, odd_step, project_onto_basis
+from divdiff.odd import anneal_alpha, odd_losses, odd_step, project_onto_basis
 from reference import OrthoBasis, extend_basis
 
 E1 = np.array([1.0, 0.0])
@@ -168,41 +171,51 @@ def guided_instance(seed, batch=3, length=4, vocab=6):
 
 
 class TestOddParams:
+    """odd_step's knobs, checked by the GenerationConfig it reads them from."""
+
     # unchecked, a nan alpha turned logits into NaN and an inf alpha into +-inf
     @pytest.mark.parametrize("knob", ["alpha", "tolerance"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, knob, value):
         with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
-            OddParams(**{"alpha": 1.0, knob: value})
+            GenerationConfig(**{"alpha": 1.0, knob: value})
+        with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
+            replace(GenerationConfig(guidance="odd"), **{knob: value})
+
+    def test_knobs_are_frozen(self):
+        config = GenerationConfig(guidance="odd")
+        for knob in ("alpha", "tolerance", "anneal", "steps", "feature_top_k"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, knob, getattr(config, knob))
 
 
 class TestOddStep:
     def test_alpha_zero_identity(self, rng):
         logits, state = guided_instance(1)
-        out = odd_step(logits, state, OddParams(alpha=0.0), t=5)
+        out = odd_step(logits, state, GenerationConfig(alpha=0.0), t=5)
         np.testing.assert_array_equal(out, logits)
 
     def test_single_sample_identity(self, rng):
         logits, state = guided_instance(2, batch=1)
-        out = odd_step(logits, state, OddParams(alpha=8.0, anneal="off"), t=5)
+        out = odd_step(logits, state, GenerationConfig(alpha=8.0, anneal="off"), t=5)
         np.testing.assert_array_equal(out, logits)
 
     def test_first_sample_bit_identical(self):
         logits, state = guided_instance(3)
-        out = odd_step(logits, state, OddParams(alpha=4.0, anneal="off"), t=5)
+        out = odd_step(logits, state, GenerationConfig(alpha=4.0, anneal="off"), t=5)
         np.testing.assert_array_equal(out[0], logits[0])
         assert np.abs(out[1:] - logits[1:]).max() > 0
 
     def test_final_step_anneal_is_identity(self):
         logits, state = guided_instance(4)
-        out = odd_step(logits, state, OddParams(alpha=64.0), t=1)
+        out = odd_step(logits, state, GenerationConfig(alpha=64.0), t=1)
         np.testing.assert_array_equal(out, logits)
 
     def test_matches_gradient_descent_oracle(self):
         # update equals X - alpha * (frozen-constant finite-difference gradient)
         logits, state = guided_instance(5, batch=2, length=1, vocab=3)
         alpha = 0.5
-        out = odd_step(logits, state, OddParams(alpha=alpha, anneal="off"), t=9)
+        out = odd_step(logits, state, GenerationConfig(alpha=alpha, anneal="off"), t=9)
         numeric = fd_odd_gradient(logits, state, 1e-8, h=1e-4)
         expected = logits - alpha * numeric
         scale = max(np.abs(out - logits).max(), 1e-9)
@@ -210,7 +223,7 @@ class TestOddStep:
 
     def test_prefix_determinism_bitwise(self):
         logits, state = guided_instance(6, batch=6, length=4, vocab=7)
-        params = OddParams(alpha=3.0, anneal="off")
+        params = GenerationConfig(alpha=3.0, anneal="off")
         full = odd_step(logits, state, params, t=4)
         for m in (2, 3, 5):
             sliced_state = type(state)(
@@ -221,7 +234,7 @@ class TestOddStep:
 
     def test_no_gradient_leakage_from_later_samples(self):
         logits, state = guided_instance(7, batch=4, length=3, vocab=5)
-        params = OddParams(alpha=2.0, anneal="off")
+        params = GenerationConfig(alpha=2.0, anneal="off")
         out = odd_step(logits, state, params, t=3)
         bumped = logits.copy()
         bumped[3] += 0.37
@@ -237,7 +250,7 @@ class TestOddStep:
             np.concatenate([state.masked] * 2), np.concatenate([state.realized] * 2),
             state.vocab,
         )
-        out = odd_step(logits, state, OddParams(alpha=5.0, anneal="off"), t=2)
+        out = odd_step(logits, state, GenerationConfig(alpha=5.0, anneal="off"), t=2)
         np.testing.assert_array_equal(out, logits)
 
     def test_basis_orthonormal_after_step(self):
@@ -266,7 +279,7 @@ class TestOddStep:
                 return total
 
             alpha = 1e-3
-            out = odd_step(logits, state, OddParams(alpha=alpha, anneal="off"), t=10)
+            out = odd_step(logits, state, GenerationConfig(alpha=alpha, anneal="off"), t=10)
             assert frozen_loss(out) <= frozen_loss(logits) + 1e-9
 
 

@@ -5,16 +5,18 @@ sampling temperature, the guidance step size and a top-k restriction;
 the library must reproduce tests/reference.py bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from divdiff.dpp import DppParams, dpp_step
+from divdiff.dpp import dpp_step
 from divdiff.engine import GenerationConfig, denoise_step, make_guidance_hook, run_generation
 from divdiff.features import feature_set
-from divdiff.odd import OddParams, odd_losses, odd_step
+from divdiff.odd import odd_losses, odd_step
 from divdiff.state import MaskState, build_schedule, mask_token
 from divdiff.trace import trace_read, trace_write
 
@@ -80,8 +82,8 @@ def step_cases(draw):
 @given(step_cases())
 def test_odd_step_matches_reference(case):
     logits, state, schedule, t, _, alpha, top_k = case
-    params = OddParams(alpha=alpha)
-    got = odd_step(logits, state, params, schedule.steps - t, schedule.steps, top_k)
+    config = GenerationConfig(alpha=alpha, steps=schedule.steps, feature_top_k=top_k)
+    got = odd_step(logits, state, config, schedule.steps - t)
     want = reference.guided_step(logits, state, "odd", alpha, schedule.steps - t,
                                  schedule.steps, top_k=top_k)
     np.testing.assert_array_equal(got, want)
@@ -104,8 +106,8 @@ def test_odd_losses_basis_matches_reference(case):
 @given(step_cases())
 def test_dpp_step_matches_reference(case):
     logits, state, schedule, t, _, alpha, top_k = case
-    params = DppParams(alpha=alpha)
-    got = dpp_step(logits, state, params, schedule.steps - t, schedule.steps, top_k)
+    config = GenerationConfig(alpha=alpha, steps=schedule.steps, feature_top_k=top_k)
+    got = dpp_step(logits, state, config, schedule.steps - t)
     want = reference.guided_step(logits, state, "dpp", alpha, schedule.steps - t,
                                  schedule.steps, top_k=top_k)
     np.testing.assert_array_equal(got, want)
@@ -138,8 +140,7 @@ def test_odd_prefix_invariance(b1, extra, length, vocab, seed, temperature, alph
     config = GenerationConfig(temperature=temperature, steps=length, length=length,
                               batch=b1, seed=seed, guidance="odd", alpha=alpha)
     small = run_generation(model, config).sequences
-    config.batch = b1 + extra
-    large = run_generation(model, config).sequences
+    large = run_generation(model, replace(config, batch=b1 + extra)).sequences
     for a, b in zip(small, large):
         np.testing.assert_array_equal(a, b)
 
