@@ -61,7 +61,7 @@ def _inputs(args):
     """(doc, model, task-or-None, prompt, generation config) of a command."""
     doc = _load(args)
     model, task = cfg.build_model(doc, Path(args.config).parent)
-    prompt = cfg.resolve_prompt(doc, model, task)
+    prompt = cfg.resolve_prompt(doc, task)
     return doc, model, task, prompt, cfg.generation_config(doc, model, prompt)
 
 
@@ -84,24 +84,18 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    doc, _, probe_task, probe_prompt, base = _inputs(args)
+    doc, _, probe_task, _, base = _inputs(args)
     if probe_task is None:
         raise InvalidInputError("grid runs need a planted model (correctness oracle)")
     spec = cfg.grid_spec(doc)
     base = replace(base, length=probe_task.length)
-    model_spec = doc["model"]
-    use_default_prompt = doc.get("prompt", cfg.DEFAULTS["prompt"]) == "default"
-
-    from .models import default_prompt, default_task
-
-    def factory(problem):
-        if "task" in model_spec or "task_path" in model_spec:
-            return probe_task, probe_prompt
-        task = default_task(problem)
-        return task, (default_prompt(task) if use_default_prompt else None)
-
+    problems = {}
+    for p in spec.problems:
+        problem_doc = dict(doc, model=dict(doc["model"], problem=p))
+        _, task = cfg.build_model(problem_doc, Path(args.config).parent)
+        problems[p] = task, cfg.resolve_prompt(problem_doc, task)
     reports, aggregates = grid_run(
-        spec, factory, base, jobs=max(1, args.jobs),
+        spec, problems.__getitem__, base, jobs=max(1, args.jobs),
         log=lambda line: print(line, file=sys.stderr),
     )
     if args.out:
@@ -146,12 +140,10 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    doc = _load(args)
-    model, _ = cfg.build_model(doc, Path(args.config).parent)
+    doc, model, _, prompt, config = _inputs(args)
     if not isinstance(model, ReplayDenoiser):
         raise InvalidInputError("replay needs model.kind == 'trace'")
-    config = cfg.generation_config(doc, model)
-    run = run_generation(model, config)
+    run = run_generation(model, config, prompt=prompt)
     for i, seq in enumerate(run.sequences):
         print(f"sample {i}: {' '.join(str(t) for t in seq.tolist())}")
     if args.out:

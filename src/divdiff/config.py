@@ -16,7 +16,7 @@ from pathlib import Path
 from .engine import GenerationConfig
 from .errors import InvalidInputError
 from .harness import GridSpec
-from .models import PlantedDenoiser, PlantedTask, bigram_train, default_task
+from .models import PlantedDenoiser, PlantedTask, bigram_train, default_prompt, default_task
 from .trace import trace_read
 
 SCHEMA_VERSION = 1
@@ -98,16 +98,22 @@ def _anneal_mode(value):
     return value
 
 
-def _model_json(root: Path, spec: dict, key: str):
-    """The JSON in file model.<key>; a missing or bad file is an error naming the key."""
+def _read_json(path: Path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _model_file(root: Path, spec: dict, key: str, read):
+    """read(path) of file model.<key>; a missing file, or one read rejects
+    (ValueError: bad JSON, bytes that are not UTF-8, a malformed trace),
+    is a config error naming the key."""
     path = root / spec[key]
     if not path.is_file():
         raise InvalidInputError(f"model.{key}: file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise InvalidInputError(f"model.{key}: {path} is not JSON ({exc})") from None
+        return read(path)
+    except ValueError as exc:
+        raise InvalidInputError(f"model.{key}: cannot read {path} ({exc})") from None
 
 
 def build_model(doc: dict, base_dir=None):
@@ -121,7 +127,7 @@ def build_model(doc: dict, base_dir=None):
         if "task" in spec:
             task = PlantedTask.from_json(spec["task"])
         elif "task_path" in spec:
-            task = PlantedTask.from_json(_model_json(root, spec, "task_path"))
+            task = PlantedTask.from_json(_model_file(root, spec, "task_path", _read_json))
         else:
             problem = _cast("model.problem", spec.get("problem", 0), int)
             try:
@@ -133,31 +139,27 @@ def build_model(doc: dict, base_dir=None):
         vocab = spec.get("vocab")
         corpus = spec.get("corpus")
         if corpus is None and "corpus_path" in spec:
-            corpus = _model_json(root, spec, "corpus_path")
+            corpus = _model_file(root, spec, "corpus_path", _read_json)
         if vocab is None or corpus is None:
             raise InvalidInputError("bigram model needs 'vocab' and 'corpus'")
+        if not isinstance(corpus, list) or not all(isinstance(seq, list) for seq in corpus):
+            raise InvalidInputError("model.corpus must be a list of token lists")
+        corpus = [[_cast("model.corpus", token, int) for token in seq] for seq in corpus]
         return bigram_train(corpus, _cast("model.vocab", vocab, int)), None
     if kind == "trace":
         if "path" not in spec:
             raise InvalidInputError("trace model needs a 'path'")
-        path = root / spec["path"]
-        if not path.is_file():
-            raise InvalidInputError(f"trace file not found: {path}")
-        return trace_read(path), None
+        return _model_file(root, spec, "path", trace_read), None
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
-def resolve_prompt(doc: dict, model=None, task=None):
+def resolve_prompt(doc: dict, task=None):
     """Conditioning prefix: explicit token list, "default", or none."""
     spec = doc.get("prompt", DEFAULTS["prompt"])
     if spec is None or spec == "none":
         return None
     if spec == "default":
-        if task is not None:
-            from .models import default_prompt
-
-            return default_prompt(task)
-        return None
+        return None if task is None else default_prompt(task)
     if not isinstance(spec, list):
         raise InvalidInputError(f'prompt must be a token list, "default" or "none", got {spec!r}')
     return [_cast("prompt", t, int) for t in spec]

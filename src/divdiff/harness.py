@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -41,21 +41,7 @@ class RunReport:
         return len(self.outputs)
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "problem": self.problem,
-            "guidance": self.guidance,
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "correct": self.correct,
-            "guidance_seconds": self.guidance_seconds,
-            "total_seconds": self.total_seconds,
-            "per_step_guidance_seconds": self.per_step_guidance_seconds,
-            "failed": self.failed,
-            "error": self.error,
-        }
+        return {"schema": 1, **asdict(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunReport":

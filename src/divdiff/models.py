@@ -122,10 +122,7 @@ def _greedy_survivor(minority: np.ndarray, token_pairs: np.ndarray) -> int:
     return alive[0] + 1
 
 
-def default_task(problem: int, vocab: int = DEFAULT_VOCAB, length: int = DEFAULT_LENGTH,
-                 num_templates: int = DEFAULT_TEMPLATES, num_correct: int = DEFAULT_CORRECT,
-                 skew: float = DEFAULT_SKEW, noise_floor: float = DEFAULT_NOISE_FLOOR,
-                 template0_correct: bool = False) -> PlantedTask:
+def default_task(problem: int, template0_correct: bool = False) -> PlantedTask:
     """Deterministic benchmark task for a problem id.
 
     Template 0 has its own token at every position, so unconditioned
@@ -139,17 +136,13 @@ def default_task(problem: int, vocab: int = DEFAULT_VOCAB, length: int = DEFAULT
     if problem < 0:
         raise InvalidInputError(f"default_task: problem id must be >= 0, got {problem}")
     rng = np.random.default_rng([_TASK_STREAM_SALT, int(problem)])
-    alts = num_templates - 1
-    if length < 6:
-        raise InvalidInputError("default_task: need at least six positions")
+    length = DEFAULT_LENGTH
+    alts = DEFAULT_TEMPLATES - 1
     rows = length - 1
     minority_size = max(1, (alts - 1) // 3)
     # disjoint token pools: template-0 row tokens, majority/minority pair
     # per row, answer-key token, leaving the rest of the vocabulary as noise
-    needed = 1 + length + 2 * rows
-    if vocab < needed:
-        raise InvalidInputError(f"default_task: vocabulary too small ({vocab} < {needed})")
-    pool = rng.permutation(vocab)
+    pool = rng.permutation(DEFAULT_VOCAB)
     key = int(pool[0])
     t0_tokens = pool[1 : 1 + length]
     pair_flat = pool[1 + length : 1 + length + 2 * rows]
@@ -160,7 +153,7 @@ def default_task(problem: int, vocab: int = DEFAULT_VOCAB, length: int = DEFAULT
             minority[s, rng.permutation(alts)[:minority_size]] = True
         if len({minority[:, m].tobytes() for m in range(alts)}) == alts:
             break
-    templates = np.empty((num_templates, length), dtype=np.int64)
+    templates = np.empty((DEFAULT_TEMPLATES, length), dtype=np.int64)
     templates[0] = t0_tokens
     for m in range(alts):
         templates[m + 1, 0] = key
@@ -170,13 +163,13 @@ def default_task(problem: int, vocab: int = DEFAULT_VOCAB, length: int = DEFAULT
     # finding them genuinely requires leaving the high-probability modes
     rarity = minority.sum(axis=0) + rng.random(alts)  # random tie-break
     order = sorted(
-        (m for m in range(1, num_templates) if m != survivor),
+        (m for m in range(1, DEFAULT_TEMPLATES) if m != survivor),
         key=lambda m: -rarity[m - 1],
     )
-    correct = set(order[:num_correct])
+    correct = set(order[:DEFAULT_CORRECT])
     if template0_correct:
-        correct = {0, *order[: max(0, num_correct - 1)]}
-    return PlantedTask(vocab, length, templates, frozenset(correct), skew, noise_floor)
+        correct = {0, *order[: DEFAULT_CORRECT - 1]}
+    return PlantedTask(DEFAULT_VOCAB, length, templates, frozenset(correct))
 
 
 def default_prompt(task: PlantedTask) -> np.ndarray:
@@ -184,9 +177,9 @@ def default_prompt(task: PlantedTask) -> np.ndarray:
     return task.templates[1, :1].copy()
 
 
-def default_problem(problem: int, **kwargs) -> tuple[PlantedTask, np.ndarray]:
+def default_problem(problem: int) -> tuple[PlantedTask, np.ndarray]:
     """Task plus its conditioning prompt for one benchmark problem."""
-    task = default_task(problem, **kwargs)
+    task = default_task(problem)
     return task, default_prompt(task)
 
 

@@ -181,12 +181,23 @@ class TestConfigCasts:
     @pytest.mark.parametrize("model", [
         {"kind": "bigram", "vocab": 5, "corpus_path": "missing.json"},
         {"kind": "planted", "task_path": "missing.json"},
+        {"kind": "trace", "path": "missing.oddt"},
     ])
     def test_missing_model_file_exits_2(self, tmp_path, capsys, model):
         config = write_config(tmp_path / "c.json", prompt="none", model=model)
         assert cli.main(["generate", "--config", str(config)]) == 2
-        key = next(k for k in model if k.endswith("_path"))
+        key = next(k for k in model if k.endswith("path"))
         assert f"error: model.{key}: file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["corpus", "corpus_path"])
+    @pytest.mark.parametrize("corpus", [5, [[0, "a"]], [[0.5, 1, 2], [True, 3]]])
+    def test_bad_corpus_exits_2(self, tmp_path, capsys, corpus, source):
+        (tmp_path / "corpus.json").write_text(json.dumps(corpus))
+        value = corpus if source == "corpus" else "corpus.json"
+        config = write_config(tmp_path / "c.json", prompt="none",
+                              model={"kind": "bigram", "vocab": 5, source: value})
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert "error: model.corpus must be" in capsys.readouterr().err
 
     def test_corpus_file_is_read(self, tmp_path, capsys):
         (tmp_path / "corpus.json").write_text("[[0, 1, 2, 3, 4, 0]]")
@@ -222,6 +233,23 @@ class TestReplayCommand:
         assert cli.main(["replay", "--config", str(config), "--out", str(out)]) == 0
         outputs = json.loads((out / "replay_outputs.json").read_text())
         assert len(outputs) == 2 and len(outputs[0]) == 4
+
+    def test_replay_runs_the_configured_prompt(self, tmp_path, capsys, rng):
+        trace_write(tmp_path / "t.oddt", rng.normal(size=(4, 2, 4, 6)).astype(np.float32))
+        config = write_config(tmp_path / "c.json", batch=2, prompt=[3],
+                              model={"kind": "trace", "path": "t.oddt"})
+        assert cli.main(["replay", "--config", str(config)]) == 0
+        replayed = capsys.readouterr().out
+        assert cli.main(["generate", "--config", str(config)]) == 0
+        assert replayed == capsys.readouterr().out
+        assert all(line.split(": ")[1].startswith("3 ") for line in replayed.splitlines())
+
+    def test_trace_that_is_not_oddt_exits_2(self, tmp_path, capsys):
+        (tmp_path / "t.oddt").write_bytes(b"garbage")
+        config = write_config(tmp_path / "c.json", prompt=None,
+                              model={"kind": "trace", "path": "t.oddt"})
+        assert cli.main(["replay", "--config", str(config)]) == 2
+        assert "error: model.path" in capsys.readouterr().err
 
     def test_replay_needs_trace_model(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
@@ -290,6 +318,20 @@ class TestGridAndReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert cli.main(["report", str(empty)]) == 2
+
+
+def test_grid_runs_the_configured_prompt(tmp_path, capsys):
+    config = write_config(
+        tmp_path / "c.json", batch=4, prompt=[5],
+        grid={"temperatures": [1.0], "alphas": [8.0], "guidances": ["none", "odd"],
+              "seeds": [0], "problems": [0, 1]},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["grid", "--config", str(config), "--out", str(out)]) == 0
+    reports = [json.loads(p.read_text()) for p in out.glob("run_*.json")]
+    assert len(reports) == 4
+    for report in reports:
+        assert all(seq[0] == 5 for seq in report["outputs"])
 
 
 class TestProfileCommand:

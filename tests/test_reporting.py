@@ -86,6 +86,19 @@ def test_written_report_has_no_final_features(grid_outputs, tmp_path):
     assert "final_features" not in json.loads(path.read_text())
 
 
+def test_written_report_document_keeps_its_key_order(tmp_path):
+    report = RunReport(problem=3, guidance="odd", theta=0.5, alpha=8.0, seed=1,
+                       outputs=[[4, 2]], correct=[True], guidance_seconds=0.25,
+                       total_seconds=1.5, per_step_guidance_seconds=[0.25])
+    (path,) = write_reports([report], tmp_path)
+    assert path.read_text() == (
+        '{"schema": 1, "problem": 3, "guidance": "odd", "theta": 0.5, "alpha": 8.0, '
+        '"seed": 1, "outputs": [[4, 2]], "correct": [true], "guidance_seconds": 0.25, '
+        '"total_seconds": 1.5, "per_step_guidance_seconds": [0.25], "failed": false, '
+        '"error": ""}\n'
+    )
+
+
 def test_ungraded_reports_load_and_stay_out_of_pass_at_k(grid_outputs, tmp_path):
     reports, aggregates = grid_outputs
     ungraded = RunReport(problem=7, guidance="odd", theta=1.0, alpha=8.0, seed=0,
