@@ -157,8 +157,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    _, model, _, _, config = _inputs(args)
-    stats = overhead_profile(model, config)
+    _, model, _, prompt, config = _inputs(args)
+    stats = overhead_profile(model, config, prompt=prompt)
     print(f"baseline_seconds={stats['baseline_seconds']:.4f}")
     print(f"guided_seconds={stats['guided_seconds']:.4f}")
     print(f"overhead_fraction={stats['overhead_fraction']:.4f}")

@@ -106,7 +106,9 @@ def _read_json(path: Path):
 def _model_file(root: Path, spec: dict, key: str, read):
     """read(path) of file model.<key>; a missing file, or one read rejects
     (ValueError: bad JSON, bytes that are not UTF-8, a malformed trace),
-    is a config error naming the key."""
+    is a config error naming the key, as is a value that is not a string."""
+    if not isinstance(spec[key], str):
+        raise InvalidInputError(f"model.{key} must be a file path, got {spec[key]!r}")
     path = root / spec[key]
     if not path.is_file():
         raise InvalidInputError(f"model.{key}: file not found: {path}")

@@ -132,8 +132,7 @@ def make_guidance_hook(config: GenerationConfig):
 
 
 def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
-                 schedule: Schedule | None = None, guidance=None,
-                 uniforms=None) -> MaskState:
+                 schedule: Schedule, guidance=None, uniforms=None) -> MaskState:
     """One reverse step: predict, guide, sample, commit the top confidences.
 
     Per sample, the unmask_counts[t] masked positions with the highest
@@ -142,8 +141,6 @@ def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
     step's (B, S) block of the run's streams (run_generation passes the
     rows it drew ahead); None computes them here.
     """
-    if schedule is None:
-        schedule = build_schedule(state.length - state.prompt_len, config.steps)
     if not 0 <= t < schedule.steps:
         raise InvalidInputError(f"denoise_step: step {t} outside [0, {schedule.steps})")
     logits = np.asarray(model.predict(state, t), dtype=np.float64)

@@ -37,13 +37,6 @@ class UnifiedDistribution:
     qualities: np.ndarray  # (B,)
     prompt_len: int = 0
 
-    @property
-    def pooled(self) -> np.ndarray:
-        """(B, S) bool: the rows eligible for max-pooling."""
-        pooled = np.ones(self.one_hot.shape, dtype=bool)
-        pooled[:, : self.prompt_len] = False
-        return pooled
-
 
 @dataclass
 class FeatureSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import dpp_grad_logits, dpp_loss
+from .dpp import build_l_ensemble, dpp_grad_logits, dpp_loss
 from .engine import GenerationConfig
 from .features import (
     FeatureSet,
@@ -72,38 +72,21 @@ def random_instance(rng, max_batch: int = 4, max_length: int = 6, max_vocab: int
 def has_pool_tie(logits, state: MaskState, gap: float = 1e-6) -> bool:
     """True when some vocabulary entry's max is attained twice within gap."""
     ud = unified_distribution(logits, state)
-    for i in range(state.batch):
-        rows = ud.probs[i][ud.pooled[i]]
-        if rows.shape[0] < 2:
-            continue
-        top2 = np.partition(rows, rows.shape[0] - 2, axis=0)[-2:]
-        if np.any(top2[1] - top2[0] <= gap):
-            return True
-    return False
+    rows = ud.probs[:, ud.prompt_len:]  # the rows extract_features pools
+    if rows.shape[1] < 2:
+        return False
+    top2 = np.partition(rows, rows.shape[1] - 2, axis=1)[:, -2:]
+    return bool(np.any(top2[:, 1] - top2[:, 0] <= gap))
 
 
-def _per_sample_fd(objective, logits, sample: int, h: float) -> np.ndarray:
-    """Central differences of a per-sample scalar objective."""
+def _central_differences(objective, logits, block=...,
+                         h: float = DEFAULT_STEP) -> np.ndarray:
+    """Central differences of the scalar objective(x) over the entries of
+    x[block], a copy of logits; block is a sample index or the whole array.
+    Each entry is moved by +h and -h in turn, then restored."""
     x = np.array(logits, dtype=np.float64)
-    grad = np.zeros_like(x[sample])
-    flat = x[sample].ravel()
-    gflat = grad.ravel()
-    for idx in range(flat.size):
-        orig = flat[idx]
-        flat[idx] = orig + h
-        fp = objective(x, sample)
-        flat[idx] = orig - h
-        fm = objective(x, sample)
-        flat[idx] = orig
-        gflat[idx] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def _full_fd(objective, logits, h: float) -> np.ndarray:
-    x = np.array(logits, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = grad.ravel()
+    flat = x[block].reshape(-1)  # a view: x is a fresh C-ordered copy
+    grad = np.zeros(flat.size)
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + h
@@ -111,8 +94,8 @@ def _full_fd(objective, logits, h: float) -> np.ndarray:
         flat[idx] = orig - h
         fm = objective(x)
         flat[idx] = orig
-        gflat[idx] = (fp - fm) / (2.0 * h)
-    return grad
+        grad[idx] = (fp - fm) / (2.0 * h)
+    return grad.reshape(x[block].shape)
 
 
 def fd_feature_gradient(logits, state: MaskState, upstream, h: float = DEFAULT_STEP):
@@ -125,7 +108,7 @@ def fd_feature_gradient(logits, state: MaskState, upstream, h: float = DEFAULT_S
 
     grad = np.zeros_like(np.asarray(logits, dtype=np.float64))
     for i in range(state.batch):
-        grad[i] = _per_sample_fd(objective, logits, i, h)
+        grad[i] = _central_differences(lambda x: objective(x, i), logits, i, h)
     return grad
 
 
@@ -149,15 +132,13 @@ def fd_odd_gradient(logits, state: MaskState, tolerance: float,
     targets = frozen_odd_targets(fs0, tolerance)
 
     def objective(x, sample):
-        if sample == 0:
-            return 0.0
         fs = extract_features(unified_distribution(x, state))
         residual = fs.features[sample] - targets[sample - 1]
         return float(-q0[sample] * np.linalg.norm(residual))
 
     grad = np.zeros_like(np.asarray(logits, dtype=np.float64))
     for i in range(1, state.batch):
-        grad[i] = _per_sample_fd(objective, logits, i, h)
+        grad[i] = _central_differences(lambda x: objective(x, i), logits, i, h)
     return grad
 
 
@@ -169,13 +150,9 @@ def fd_dpp_gradient(logits, state: MaskState, eps: float,
 
     def objective(x):
         fs = extract_features(unified_distribution(x, state))
-        v = fs.features
-        norms = np.linalg.norm(v, axis=1)
-        normed = v / norms[:, None]
-        l_matrix = (normed @ normed.T) * np.outer(q0, q0)
-        return dpp_loss(l_matrix, eps)
+        return dpp_loss(build_l_ensemble(FeatureSet(fs.features, fs.routing, q0)), eps)
 
-    return _full_fd(objective, logits, h)
+    return _central_differences(objective, logits, h=h)
 
 
 def _min_residual(logits, state: MaskState, tolerance: float) -> float:

@@ -9,7 +9,6 @@ run in parallel; aggregation is a single sorted reduction over reports.
 from __future__ import annotations
 
 import itertools
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -231,44 +230,28 @@ def grid_run(spec: GridSpec, task_factory, base_config: GenerationConfig,
     return reports, aggregate_reports(reports)
 
 
-def overhead_profile(model, config: GenerationConfig, repeats: int = 3):
-    """Compare wall time with and without guidance under identical seeds.
+def overhead_profile(model, config: GenerationConfig, repeats: int = 3, prompt=None):
+    """Compare the runs' own timings with and without guidance under
+    identical seeds and prompt.
 
-    Returns a dict with per-batch means for the guided and baseline runs,
-    the relative overhead fraction, and the model-independent time spent
-    inside the guidance hook itself.
+    After one warm-up round, the baseline (guidance "none") and the
+    configured run alternate. Returns the median total_seconds (the step
+    loop) of each, the relative overhead fraction, and the median time
+    spent inside the guidance hook itself. An unguided config is its own
+    baseline, so it reports zero overhead.
     """
-    if config.guidance == "none":
-        baseline = replace(config)
-        guided = None
-    else:
-        baseline = replace(config, guidance="none")
-        guided = config
-    run_generation(model, baseline)  # warmup both paths before timing
-    if guided is not None:
-        run_generation(model, guided)
-    base_times, guided_times, hook_times = [], [], []
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        run_generation(model, baseline)
-        base_times.append(time.perf_counter() - t0)
-        if guided is not None:
-            t0 = time.perf_counter()
-            run = run_generation(model, guided)
-            guided_times.append(time.perf_counter() - t0)
-            hook_times.append(sum(run.guidance_seconds))
-    base_s = float(np.median(base_times))
-    if guided is None:
-        return {
-            "baseline_seconds": base_s,
-            "guided_seconds": base_s,
-            "overhead_fraction": 0.0,
-            "hook_seconds": 0.0,
-        }
-    guided_s = float(np.median(guided_times))
+    baseline = replace(config, guidance="none")
+    runs = {baseline: [], config: []}  # one entry when config is the baseline
+    for round_ in range(max(1, repeats) + 1):  # round 0 warms up both paths
+        for cfg, record in runs.items():
+            run = run_generation(model, cfg, prompt=prompt)
+            if round_:
+                record.append(run)
+    base_s = float(np.median([run.total_seconds for run in runs[baseline]]))
+    guided_s = float(np.median([run.total_seconds for run in runs[config]]))
     return {
         "baseline_seconds": base_s,
         "guided_seconds": guided_s,
         "overhead_fraction": (guided_s - base_s) / base_s,
-        "hook_seconds": float(np.median(hook_times)),
+        "hook_seconds": float(np.median([sum(run.guidance_seconds) for run in runs[config]])),
     }

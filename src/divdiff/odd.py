@@ -32,20 +32,6 @@ def project_onto_basis(basis, v) -> np.ndarray:
     return stacked.T @ (stacked @ x)
 
 
-def _new_direction(basis: np.ndarray, residual: np.ndarray,
-                   tolerance: float) -> np.ndarray | None:
-    """The basis vector a first-pass residual adds, or None.
-
-    Orthogonalizes the residual against the basis once more and
-    normalizes it; None when that second residual is within tolerance.
-    """
-    r = residual - project_onto_basis(basis, residual)
-    norm = np.linalg.norm(r)
-    if norm <= tolerance:
-        return None
-    return r / norm
-
-
 def anneal_alpha(alpha: float, t: int, mode: str = "factor",
                  total_steps: int | None = None) -> float:
     """Step size for t remaining steps (t counts down from total_steps to 1).
@@ -79,8 +65,9 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     is empty for a batch of one). A residual at or below the tolerance
     gives direction None and a zero upstream row, and does not extend the
     basis. basis is the (rank, V) array of orthonormal rows. Each sample is
-    projected once; its residual is the first Gram-Schmidt pass, and the
-    second pass (_new_direction) fills the next basis row.
+    projected once; its residual is the first Gram-Schmidt pass. The second
+    pass projects that residual once more, and what is left, normalized,
+    fills the next basis row unless it is within tolerance.
     """
     v = np.asarray(fs.features, dtype=np.float64)
     q = fs.qualities
@@ -105,9 +92,10 @@ def odd_losses(fs: FeatureSet, tolerance: float):
         direction = residual / norm
         directions.append(direction)
         upstream[i] = -q[i] * direction
-        added = _new_direction(basis[:rank], residual, tolerance)
-        if added is not None:
-            basis[rank] = added
+        second = residual - project_onto_basis(basis[:rank], residual)
+        second_norm = np.linalg.norm(second)
+        if second_norm > tolerance:
+            basis[rank] = second / second_norm
             rank += 1
     return upstream, directions, basis[:rank]
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from divdiff import cli, linalg
+from divdiff import cli, harness, linalg
 from divdiff.models import default_task, save_task
 from divdiff.trace import trace_write
 
@@ -213,6 +213,16 @@ class TestConfigCasts:
         assert cli.main(["generate", "--config", str(config)]) == 2
         assert "error: model.corpus_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [5, [1]])
+    @pytest.mark.parametrize("kind, key", [
+        ("trace", "path"), ("planted", "task_path"), ("bigram", "corpus_path"),
+    ])
+    def test_model_file_key_not_a_string_exits_2(self, tmp_path, capsys, kind, key, value):
+        config = write_config(tmp_path / "c.json", prompt="none",
+                              model={"kind": kind, "vocab": 5, key: value})
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert f"error: model.{key} must be" in capsys.readouterr().err
+
     def test_task_file_that_is_not_json_exits_2(self, tmp_path, capsys):
         (tmp_path / "task.json").write_text("{not json")
         config = write_config(tmp_path / "c.json",
@@ -341,6 +351,19 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         for key in ("baseline_seconds", "guided_seconds", "overhead_fraction", "hook_seconds"):
             assert key in out
+
+    def test_profile_runs_the_configured_prompt(self, tmp_path, capsys, monkeypatch):
+        prompts = []
+        real = harness.run_generation
+
+        def spy(model, config, prompt=None, **kwargs):
+            prompts.append(prompt)
+            return real(model, config, prompt=prompt, **kwargs)
+
+        monkeypatch.setattr(harness, "run_generation", spy)
+        config = write_config(tmp_path / "c.json", guidance="odd", batch=2, prompt=[5])
+        assert cli.main(["profile", "--config", str(config)]) == 0
+        assert prompts and all(p == [5] for p in prompts)
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -49,8 +49,10 @@ class TestUnifiedDistribution:
         masked = np.array([[False, True, True]])
         realized = np.array([[1, mask_token(4), mask_token(4)]])
         state = MaskState(masked, realized, 4, prompt_len=1)
-        ud = unified_distribution(rng.normal(size=(1, 3, 4)), state)
-        np.testing.assert_array_equal(ud.pooled[0], [False, True, True])
+        fs = extract_features(unified_distribution(rng.normal(size=(1, 3, 4)), state))
+        # the prompt row's one-hot holds token 1's only 1.0; softmax rows stay below
+        assert fs.features[0, 1] < 1.0
+        assert (fs.routing[0] >= 1).all()
 
 
 class TestExtractFeatures:

@@ -1,0 +1,60 @@
+import numpy as np
+import pytest
+
+from divdiff.features import unified_distribution
+from divdiff.gradcheck import (
+    fd_dpp_gradient,
+    fd_feature_gradient,
+    fd_odd_gradient,
+    has_pool_tie,
+    random_instance,
+)
+from divdiff.state import MaskState
+
+
+@pytest.mark.parametrize("oracle", ["feature", "odd", "dpp"])
+def test_fd_gradients_leave_logits_untouched(oracle):
+    logits, state = random_instance(np.random.default_rng(7), min_batch=3)
+    before = logits.copy()
+    if oracle == "feature":
+        upstream = np.random.default_rng(8).normal(size=(state.batch, state.vocab))
+        grad = fd_feature_gradient(logits, state, upstream)
+    elif oracle == "odd":
+        grad = fd_odd_gradient(logits, state, 1e-8)
+        # sample 1 seeds the basis and has no loss of its own
+        assert not grad[0].any()
+    else:
+        grad = fd_dpp_gradient(logits, state, 1e-3)
+    np.testing.assert_array_equal(logits, before)
+    assert grad.shape == logits.shape
+
+
+def per_sample_pool_tie(logits, state, gap=1e-6):
+    """has_pool_tie one sample at a time over its pooled rows."""
+    ud = unified_distribution(logits, state)
+    for i in range(state.batch):
+        rows = ud.probs[i, state.prompt_len:]
+        if rows.shape[0] >= 2:
+            top2 = np.sort(rows, axis=0)[-2:]
+            if np.any(top2[1] - top2[0] <= gap):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("prompt_len", [0, 1, 3])
+def test_pool_tie_matches_per_sample_scan(prompt_len):
+    gen = np.random.default_rng(prompt_len)
+    seen = set()
+    for _ in range(200):
+        logits, state = random_instance(gen)
+        plen = min(prompt_len, state.length - 1)
+        masked, realized = state.masked.copy(), state.realized.copy()
+        masked[:, :plen] = False
+        realized[:, :plen] = 0
+        state = MaskState(masked, realized, state.vocab, prompt_len=plen)
+        # a coarse logit grid makes ties common
+        logits = np.round(logits)
+        tie = has_pool_tie(logits, state)
+        assert tie == per_sample_pool_tie(logits, state)
+        seen.add(tie)
+    assert seen == {True, False}

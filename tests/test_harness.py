@@ -252,3 +252,19 @@ class TestOverheadProfile:
         stats = overhead_profile(PlantedDenoiser(task), config, repeats=2)
         assert stats["guided_seconds"] > 0
         assert stats["hook_seconds"] > 0
+
+    def test_profile_runs_the_given_prompt(self):
+        task = default_task(0)
+        seen = []
+
+        class Recording(PlantedDenoiser):
+            def predict(self, state, step):
+                seen.append(state.prompt_len)
+                return super().predict(state, step)
+
+        config = GenerationConfig(
+            temperature=0.5, steps=task.length - 2, length=task.length, batch=2,
+            seed=0, guidance="odd", alpha=8.0,
+        )
+        overhead_profile(Recording(task), config, repeats=1, prompt=[5, 6])
+        assert seen and set(seen) == {2}
