@@ -8,7 +8,7 @@ a tiny masked instance against central finite differences.
 
 import numpy as np
 
-from divdiff import dpp_grad_logits, dpp_loss
+from divdiff import GenerationConfig, dpp_loss, dpp_step
 from divdiff.gradcheck import fd_dpp_gradient, random_instance, has_pool_tie
 
 eps = 1e-3
@@ -29,9 +29,12 @@ while True:
                                     min_batch=2)
     if not has_pool_tie(logits, state):
         break
-analytic = dpp_grad_logits(logits, state, eps)
+# the guidance applies its gradient as a descent step; at step size 1 the
+# gradient is what the step subtracts
+config = GenerationConfig(alpha=1.0, anneal="off", jitter=eps)
+analytic = logits - dpp_step(logits, state, config, t=1)
 numeric = fd_dpp_gradient(logits, state, eps)
 scale = max(np.abs(analytic).max(), np.abs(numeric).max())
 print(f"\ngradient check on a random ({state.batch}, {state.length}, "
-      f"{state.vocab}) instance: max abs diff = "
+      f"{state.vocab}) instance with a {state.prompt_len}-token prompt: max abs diff = "
       f"{np.abs(analytic - numeric).max():.2e} (scale {scale:.2e})")

@@ -167,12 +167,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    results = Path(args.results)
-    if not results.is_dir():
-        raise InvalidInputError(f"{args.results} is not a directory")
     out = args.out or args.results
     warnings: list[str] = []
-    paths = reporting.regenerate(results, out, warn=warnings.append)
+    paths = reporting.regenerate(args.results, out, warn=warnings.append)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
     print(f"wrote {paths['csv']}, {paths['passk']}, {paths['pareto']}")

@@ -71,14 +71,13 @@ def dpp_loss(l_matrix, eps: float) -> float:
     return float(-(first - second))
 
 
-def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None = None,
-                    step: float | None = None) -> np.ndarray:
-    """Analytic gradient of the DPP loss with respect to the logits.
+def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None,
+                    step: float) -> np.ndarray:
+    """Descent step logits - step * (analytic gradient of the DPP loss).
 
     Quality scores are treated as constants, matching the sequential
     guidance; one-hot rows stay constants inside the feature extractor.
-    With step given, the descent step logits - step * gradient is
-    returned instead (see backprop_to_logits).
+    The gradient reads off the step at step 1 (see backprop_to_logits).
     """
     x = np.asarray(logits, dtype=np.float64)
     fs, ud = feature_set(x, state, top_k=top_k)
@@ -93,8 +92,6 @@ def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None = No
     grad_normed = 2.0 * grad_gram @ normed
     radial = np.sum(grad_normed * normed, axis=1, keepdims=True)
     grad_features = (grad_normed - radial * normed) / norms[:, None]
-    if step is None:
-        return backprop_to_logits(grad_features, fs, ud)
     return backprop_to_logits(grad_features, fs, ud, logits=x, step=step)
 
 

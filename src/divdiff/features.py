@@ -7,10 +7,10 @@ a scalar quality score. One softmax over every row, written into the
 distribution's own buffer, serves both: the committed rows'
 normalizers give the quality scores before those rows are overwritten
 with their one-hot. Gradients in feature space are pushed back to the
-masked logits analytically: each vocabulary entry routes its gradient to
-the single position that attained the max, one-hot rows are constants,
-and the softmax Jacobian is applied to all touched rows of a sample at
-once.
+masked logits analytically and applied at once as a descent step: each
+vocabulary entry routes its gradient to the single position that
+attained the max, one-hot rows are constants, and the softmax Jacobian is
+applied to all touched rows of a sample at once.
 """
 
 from __future__ import annotations
@@ -124,15 +124,14 @@ def feature_set(logits, state: MaskState,
 
 
 def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution,
-                       logits=None, step: float = 1.0) -> np.ndarray:
-    """Push per-sample feature gradients back to the logits.
+                       logits, step: float) -> np.ndarray:
+    """Descent step logits - step * gradient for per-sample feature gradients.
 
     upstream is (B, V), the gradient of some loss with respect to the
     pooled features. Gradient lands only at (masked position, vocabulary)
-    slots recorded in the routing. Without logits, the dense (B, S, V)
-    gradient is returned, zero everywhere else. With logits, a descent
-    step logits - step * gradient is returned as a new array: a copy of
-    logits in which only the routed rows change.
+    slots recorded in the routing, so the result is a copy of logits in
+    which only the routed rows change. The gradient itself reads off the
+    step: logits - backprop_to_logits(upstream, fs, ud, logits, 1.0).
     """
     b, s, v = ud.probs.shape
     u = np.asarray(upstream, dtype=np.float64)
@@ -143,16 +142,13 @@ def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution,
         raise ContractError("routing points at a position outside the pooled rows")
     at_committed = np.take_along_axis(ud.one_hot, np.where(routed, fs.routing, 0), axis=1)
     live = routed & ~at_committed & (u != 0.0)
-    out = np.zeros_like(ud.probs) if logits is None else np.array(logits, dtype=np.float64)
+    out = np.array(logits, dtype=np.float64)
     for i in np.flatnonzero(live.any(axis=1)):
         cols = np.flatnonzero(live[i])
         rows, slot = np.unique(fs.routing[i, cols], return_inverse=True)
         acc = np.zeros((rows.size, v), dtype=np.float64)
         acc[slot, cols] = u[i, cols]
         g = linalg.softmax_vjp(ud.probs[i, rows], acc)
-        if logits is None:
-            out[i, rows] = g
-        else:
-            g *= step
-            out[i, rows] -= g
+        g *= step
+        out[i, rows] -= g
     return out

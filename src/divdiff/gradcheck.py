@@ -1,12 +1,15 @@
 """Finite-difference validation of every analytic gradient path.
 
-The oracles only ever evaluate forward passes: feature extraction, the
-orthogonal-residual objective with its projection targets and quality
-weights frozen at the base point (they are constants under the published
-stop-gradient semantics), and the joint determinantal objective with
-quality frozen. Instances where a max-pool column has two positions
-within 1e-6 of the top value are excluded (subgradient ambiguity), as are
-near-zero residuals for the same reason.
+The guidance only ever applies its gradients as a descent step, so every
+analytic gradient is read off that step at step size 1: logits minus the
+stepped logits. The oracles only ever evaluate forward passes: feature
+extraction, the orthogonal-residual objective with its projection
+targets and quality weights frozen at the base point (they are constants
+under the published stop-gradient semantics), and the joint
+determinantal objective with quality frozen. Random instances carry an
+unmasked prompt of 0 to S-2 positions. Instances where a max-pool
+column has two positions within 1e-6 of the top value are excluded
+(subgradient ambiguity), as are near-zero residuals for the same reason.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import build_l_ensemble, dpp_grad_logits, dpp_loss
+from .dpp import build_l_ensemble, dpp_loss, dpp_step
 from .engine import GenerationConfig
 from .features import (
     FeatureSet,
@@ -56,15 +59,18 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def random_instance(rng, max_batch: int = 4, max_length: int = 6, max_vocab: int = 10,
                     min_batch: int = 1):
-    """Random logits plus a mask state with one of the stock masked fractions."""
+    """Random logits plus a mask state with one of the stock masked
+    fractions and an unmasked prompt of 0 to S-2 positions."""
     b = int(rng.integers(min_batch, max_batch + 1))
     s = int(rng.integers(2, max_length + 1))
     v = int(rng.integers(3, max_vocab + 1))
+    prompt_len = int(rng.integers(0, s - 1))
     fraction = MASKED_FRACTIONS[int(rng.integers(len(MASKED_FRACTIONS)))]
     masked = rng.random((b, s)) < fraction
+    masked[:, :prompt_len] = False
     realized = rng.integers(0, v, size=(b, s)).astype(np.int64)
     realized[masked] = mask_token(v)
-    state = MaskState(masked, realized, v)
+    state = MaskState(masked, realized, v, prompt_len=prompt_len)
     logits = rng.normal(0.0, 1.5, size=(b, s, v))
     return logits, state
 
@@ -79,13 +85,12 @@ def has_pool_tie(logits, state: MaskState, gap: float = 1e-6) -> bool:
     return bool(np.any(top2[:, 1] - top2[:, 0] <= gap))
 
 
-def _central_differences(objective, logits, block=...,
-                         h: float = DEFAULT_STEP) -> np.ndarray:
-    """Central differences of the scalar objective(x) over the entries of
-    x[block], a copy of logits; block is a sample index or the whole array.
-    Each entry is moved by +h and -h in turn, then restored."""
+def _central_differences(objective, logits, h: float = DEFAULT_STEP) -> np.ndarray:
+    """Central differences of the scalar objective(x) over every entry of
+    x, a copy of logits. Each entry is moved by +h and -h in turn, then
+    restored."""
     x = np.array(logits, dtype=np.float64)
-    flat = x[block].reshape(-1)  # a view: x is a fresh C-ordered copy
+    flat = x.reshape(-1)  # a view: x is a fresh C-ordered copy
     grad = np.zeros(flat.size)
     for idx in range(flat.size):
         orig = flat[idx]
@@ -95,21 +100,17 @@ def _central_differences(objective, logits, block=...,
         fm = objective(x)
         flat[idx] = orig
         grad[idx] = (fp - fm) / (2.0 * h)
-    return grad.reshape(x[block].shape)
+    return grad.reshape(x.shape)
+
+
+def _features(x, state: MaskState) -> np.ndarray:
+    return extract_features(unified_distribution(x, state)).features
 
 
 def fd_feature_gradient(logits, state: MaskState, upstream, h: float = DEFAULT_STEP):
     """FD gradient of sum_i upstream_i . features_i(logits)."""
     u = np.asarray(upstream, dtype=np.float64)
-
-    def objective(x, sample):
-        fs = extract_features(unified_distribution(x, state))
-        return float(np.dot(u[sample], fs.features[sample]))
-
-    grad = np.zeros_like(np.asarray(logits, dtype=np.float64))
-    for i in range(state.batch):
-        grad[i] = _central_differences(lambda x: objective(x, i), logits, i, h)
-    return grad
+    return _central_differences(lambda x: float(np.sum(u * _features(x, state))), logits, h)
 
 
 def frozen_odd_targets(fs0: FeatureSet, tolerance: float):
@@ -126,20 +127,19 @@ def frozen_odd_targets(fs0: FeatureSet, tolerance: float):
 
 def fd_odd_gradient(logits, state: MaskState, tolerance: float,
                     h: float = DEFAULT_STEP) -> np.ndarray:
-    """FD gradient of the summed residual loss with frozen targets/qualities."""
+    """FD gradient of the summed residual loss with frozen targets/qualities.
+
+    Sample 1 seeds the basis and has no loss term, so its rows come back 0.
+    """
     fs0, _ = feature_set(logits, state)
-    q0 = fs0.qualities.copy()
-    targets = frozen_odd_targets(fs0, tolerance)
+    q0 = fs0.qualities[1:].copy()
+    targets = np.asarray(frozen_odd_targets(fs0, tolerance)).reshape(-1, state.vocab)
 
-    def objective(x, sample):
-        fs = extract_features(unified_distribution(x, state))
-        residual = fs.features[sample] - targets[sample - 1]
-        return float(-q0[sample] * np.linalg.norm(residual))
+    def objective(x):
+        residuals = _features(x, state)[1:] - targets
+        return float(-np.dot(q0, np.linalg.norm(residuals, axis=1)))
 
-    grad = np.zeros_like(np.asarray(logits, dtype=np.float64))
-    for i in range(1, state.batch):
-        grad[i] = _central_differences(lambda x: objective(x, i), logits, i, h)
-    return grad
+    return _central_differences(objective, logits, h)
 
 
 def fd_dpp_gradient(logits, state: MaskState, eps: float,
@@ -149,72 +149,69 @@ def fd_dpp_gradient(logits, state: MaskState, eps: float,
     q0 = fs0.qualities.copy()
 
     def objective(x):
-        fs = extract_features(unified_distribution(x, state))
-        return dpp_loss(build_l_ensemble(FeatureSet(fs.features, fs.routing, q0)), eps)
+        return dpp_loss(build_l_ensemble(FeatureSet(_features(x, state), fs0.routing, q0)), eps)
 
-    return _central_differences(objective, logits, h=h)
-
-
-def _min_residual(logits, state: MaskState, tolerance: float) -> float:
-    fs, _ = feature_set(logits, state)
-    targets = frozen_odd_targets(fs, tolerance)
-    norms = [
-        np.linalg.norm(fs.features[i] - targets[i - 1])
-        for i in range(1, state.batch)
-    ]
-    return min(norms) if norms else np.inf
+    return _central_differences(objective, logits, h)
 
 
-def _draw_instance(rng, min_batch, predicate):
-    while True:
+def _run_suite(name: str, instances: int, seed: int, tolerance: float,
+               min_batch: int, compare) -> SuiteResult:
+    """Worst relative error of compare(rng, logits, state) -> (analytic,
+    numeric) over random tie-free instances; compare returns None to have
+    an instance redrawn."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    checked = 0
+    while checked < instances:
         logits, state = random_instance(rng, min_batch=min_batch)
-        if not has_pool_tie(logits, state) and predicate(logits, state):
-            return logits, state
+        if has_pool_tie(logits, state):
+            continue
+        pair = compare(rng, logits, state)
+        if pair is not None:
+            worst = max(worst, relative_error(*pair))
+            checked += 1
+    return SuiteResult(name, instances, worst, tolerance)
 
 
 def run_feature_suite(instances: int = 200, seed: int = 0,
                       h: float = DEFAULT_STEP,
                       tolerance: float = DEFAULT_TOLERANCE) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        logits, state = _draw_instance(rng, 1, lambda *_: True)
+    def compare(rng, logits, state):
         upstream = rng.normal(0.0, 1.0, size=(state.batch, state.vocab))
         fs, ud = feature_set(logits, state)
-        analytic = backprop_to_logits(upstream, fs, ud)
-        numeric = fd_feature_gradient(logits, state, upstream, h)
-        worst = max(worst, relative_error(analytic, numeric))
-    return SuiteResult("feature-backprop", instances, worst, tolerance)
+        analytic = logits - backprop_to_logits(upstream, fs, ud, logits, 1.0)
+        return analytic, fd_feature_gradient(logits, state, upstream, h)
+
+    return _run_suite("feature-backprop", instances, seed, tolerance, 1, compare)
 
 
 def run_odd_suite(instances: int = 120, seed: int = 1,
                   h: float = DEFAULT_STEP,
                   tolerance: float = DEFAULT_TOLERANCE) -> SuiteResult:
-    rng = np.random.default_rng(seed)
     fd_tol = 1e-8
     config = GenerationConfig(alpha=1.0, tolerance=fd_tol, anneal="off")
-    worst = 0.0
-    for _ in range(instances):
-        logits, state = _draw_instance(
-            rng, 2, lambda lg, st: _min_residual(lg, st, fd_tol) > 1e-3
-        )
-        analytic = np.asarray(logits, dtype=np.float64) - odd_step(logits, state, config, t=1)
-        numeric = fd_odd_gradient(logits, state, fd_tol, h)
-        worst = max(worst, relative_error(analytic, numeric))
-    return SuiteResult("orthogonal-residual", instances, worst, tolerance)
+
+    def compare(rng, logits, state):
+        fs, _ = feature_set(logits, state)
+        residuals = fs.features[1:] - np.asarray(frozen_odd_targets(fs, fd_tol))
+        if np.linalg.norm(residuals, axis=1).min() <= 1e-3:
+            return None
+        analytic = logits - odd_step(logits, state, config, t=1)
+        return analytic, fd_odd_gradient(logits, state, fd_tol, h)
+
+    return _run_suite("orthogonal-residual", instances, seed, tolerance, 2, compare)
 
 
 def run_dpp_suite(instances: int = 120, seed: int = 2, eps: float = 1e-3,
                   h: float = DEFAULT_STEP,
                   tolerance: float = DEFAULT_TOLERANCE) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        logits, state = _draw_instance(rng, 1, lambda *_: True)
-        analytic = dpp_grad_logits(logits, state, eps)
-        numeric = fd_dpp_gradient(logits, state, eps, h)
-        worst = max(worst, relative_error(analytic, numeric))
-    return SuiteResult("determinantal", instances, worst, tolerance)
+    config = GenerationConfig(alpha=1.0, anneal="off", jitter=eps)
+
+    def compare(rng, logits, state):
+        analytic = logits - dpp_step(logits, state, config, t=1)
+        return analytic, fd_dpp_gradient(logits, state, eps, h)
+
+    return _run_suite("determinantal", instances, seed, tolerance, 1, compare)
 
 
 def run_all_suites(instances: int = 120, seed: int = 0) -> list[SuiteResult]:

@@ -46,20 +46,25 @@ class RunReport:
     def from_json(cls, doc: dict) -> "RunReport":
         if not isinstance(doc, dict) or doc.get("schema") != 1:
             raise InvalidInputError("RunReport: unsupported document schema")
-        report = cls(
-            problem=int(doc["problem"]),
-            guidance=str(doc["guidance"]),
-            theta=float(doc["theta"]),
-            alpha=float(doc["alpha"]),
-            seed=int(doc["seed"]),
-            outputs=[list(map(int, out)) for out in doc["outputs"]],
-            correct=[bool(c) for c in doc["correct"]],
-            guidance_seconds=float(doc.get("guidance_seconds", 0.0)),
-            total_seconds=float(doc.get("total_seconds", 0.0)),
-            per_step_guidance_seconds=list(doc.get("per_step_guidance_seconds", [])),
-            failed=bool(doc.get("failed", False)),
-            error=str(doc.get("error", "")),
-        )
+        try:
+            report = cls(
+                problem=int(doc["problem"]),
+                guidance=str(doc["guidance"]),
+                theta=float(doc["theta"]),
+                alpha=float(doc["alpha"]),
+                seed=int(doc["seed"]),
+                outputs=[list(map(int, out)) for out in doc["outputs"]],
+                correct=[bool(c) for c in doc["correct"]],
+                guidance_seconds=float(doc.get("guidance_seconds", 0.0)),
+                total_seconds=float(doc.get("total_seconds", 0.0)),
+                per_step_guidance_seconds=list(doc.get("per_step_guidance_seconds", [])),
+                failed=bool(doc.get("failed", False)),
+                error=str(doc.get("error", "")),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"RunReport: malformed document ({type(exc).__name__}: {exc})"
+            ) from exc
         # an ungraded run (no answer checker) carries no flags at all
         if report.correct and len(report.correct) != len(report.outputs):
             raise InvalidInputError("RunReport: flags and outputs disagree in length")

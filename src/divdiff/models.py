@@ -122,7 +122,7 @@ def _greedy_survivor(minority: np.ndarray, token_pairs: np.ndarray) -> int:
     return alive[0] + 1
 
 
-def default_task(problem: int, template0_correct: bool = False) -> PlantedTask:
+def default_task(problem: int) -> PlantedTask:
     """Deterministic benchmark task for a problem id.
 
     Template 0 has its own token at every position, so unconditioned
@@ -130,7 +130,7 @@ def default_task(problem: int, template0_correct: bool = False) -> PlantedTask:
     answer-key token at position 0 and split each later row between a
     majority and a minority token according to per-row codes, so once the
     key is fixed the family stays balanced and every completion of it is a
-    valid template. Template 0 is incorrect by default, and so is the
+    valid template. Template 0 is never correct, and neither is the
     template that conditioned greedy decoding collapses to.
     """
     if problem < 0:
@@ -166,10 +166,7 @@ def default_task(problem: int, template0_correct: bool = False) -> PlantedTask:
         (m for m in range(1, DEFAULT_TEMPLATES) if m != survivor),
         key=lambda m: -rarity[m - 1],
     )
-    correct = set(order[:DEFAULT_CORRECT])
-    if template0_correct:
-        correct = {0, *order[: DEFAULT_CORRECT - 1]}
-    return PlantedTask(DEFAULT_VOCAB, length, templates, frozenset(correct))
+    return PlantedTask(DEFAULT_VOCAB, length, templates, frozenset(order[:DEFAULT_CORRECT]))
 
 
 def default_prompt(task: PlantedTask) -> np.ndarray:

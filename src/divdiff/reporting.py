@@ -51,7 +51,7 @@ def load_reports(results_dir, warn=None) -> list[RunReport]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 reports.append(RunReport.from_json(json.load(fh)))
-        except (OSError, ValueError, KeyError, InvalidInputError) as exc:
+        except (OSError, ValueError, InvalidInputError) as exc:
             if warn is not None:
                 warn(f"skipping {path.name}: {exc}")
     return reports

@@ -30,6 +30,8 @@ def trace_write(path, logits_per_step) -> None:
     shape = blocks[0].shape
     if len(shape) != 3:
         raise InvalidInputError("trace_write: blocks must be (B, S, V)")
+    if min(shape) < 1:
+        raise InvalidInputError(f"trace_write: zero dimension in block shape {shape}")
     for b in blocks:
         if b.shape != shape:
             raise InvalidInputError("trace_write: block shapes must match across steps")

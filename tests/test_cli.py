@@ -314,6 +314,20 @@ class TestGridAndReport:
         finally:
             (grid_dir / "run_zzz_broken.json").unlink()
 
+    @pytest.mark.parametrize("key, value", [("problem", None), ("outputs", 5)])
+    def test_report_skips_mistyped_field_with_warning(self, grid_dir, tmp_path, capsys,
+                                                       key, value):
+        results = tmp_path / "results"
+        results.mkdir()
+        good = sorted(grid_dir.glob("run_*.json"))[0]
+        doc = json.loads(good.read_text())
+        (results / good.name).write_text(json.dumps(doc))
+        (results / "run_zzz_mistyped.json").write_text(json.dumps({**doc, key: value}))
+        assert cli.main(["report", str(results)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: skipping run_zzz_mistyped.json" in err
+        assert "Traceback" not in err
+
     def test_report_reads_ungraded_generate_output(self, tmp_path, capsys):
         config = write_config(
             tmp_path / "c.json", batch=4, length=6, prompt=None,

@@ -96,7 +96,7 @@ def guided_instance(seed, batch=3, length=2, vocab=5):
 class TestDppGradLogits:
     def test_single_sample_matches_fd(self):
         logits, state = guided_instance(1, batch=1)
-        analytic = dpp_grad_logits(logits, state, 1e-3)
+        analytic = logits - dpp_grad_logits(logits, state, 1e-3, None, 1.0)
         numeric = fd_dpp_gradient(logits, state, 1e-3, h=1e-4)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-6)
         assert np.abs(analytic - numeric).max() / scale <= 1e-5
@@ -110,14 +110,14 @@ class TestDppGradLogits:
             np.concatenate([state.masked] * 2), np.concatenate([state.realized] * 2),
             state.vocab,
         )
-        analytic = dpp_grad_logits(logits, state, 1e-3)
+        analytic = logits - dpp_grad_logits(logits, state, 1e-3, None, 1.0)
         numeric = fd_dpp_gradient(logits, state, 1e-3, h=1e-4)
         np.testing.assert_allclose(analytic[0], analytic[1], atol=1e-10)
         assert relative_error(analytic, numeric) <= 1e-5
 
     def test_random_masked_instance_matches_fd(self):
         logits, state = guided_instance(3, batch=3, length=2, vocab=5)
-        analytic = dpp_grad_logits(logits, state, 1e-3)
+        analytic = logits - dpp_grad_logits(logits, state, 1e-3, None, 1.0)
         numeric = fd_dpp_gradient(logits, state, 1e-3, h=1e-4)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-6)
         assert np.abs(analytic - numeric).max() / scale <= 1e-5

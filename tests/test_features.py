@@ -128,25 +128,29 @@ class TestQualityScores:
 class TestBackpropToLogits:
     def test_zero_upstream(self, rng):
         state = random_state(rng, 2, 4, 5)
-        fs, ud = feature_set(rng.normal(size=(2, 4, 5)), state)
-        grad = backprop_to_logits(np.zeros((2, 5)), fs, ud)
-        assert not grad.any()
+        logits = rng.normal(size=(2, 4, 5))
+        fs, ud = feature_set(logits, state)
+        stepped = backprop_to_logits(np.zeros((2, 5)), fs, ud, logits, 1.0)
+        np.testing.assert_array_equal(stepped, logits)
+        assert stepped is not logits
 
     def test_fully_committed_sample_is_constant(self, rng):
         state = random_state(rng, 1, 4, 5, masked_fraction=0.0)
-        fs, ud = feature_set(rng.normal(size=(1, 4, 5)), state)
-        grad = backprop_to_logits(rng.normal(size=(1, 5)), fs, ud)
-        assert not grad.any()
+        logits = rng.normal(size=(1, 4, 5))
+        fs, ud = feature_set(logits, state)
+        stepped = backprop_to_logits(rng.normal(size=(1, 5)), fs, ud, logits, 1.0)
+        np.testing.assert_array_equal(stepped, logits)
 
     def test_gradient_sparsity(self, rng):
         state = random_state(rng, 3, 5, 6)
-        fs, ud = feature_set(rng.normal(size=(3, 5, 6)), state)
-        grad = backprop_to_logits(rng.normal(size=(3, 6)), fs, ud)
+        logits = rng.normal(size=(3, 5, 6))
+        fs, ud = feature_set(logits, state)
+        stepped = backprop_to_logits(rng.normal(size=(3, 6)), fs, ud, logits, 1.0)
         for i in range(3):
             touched = {int(r) for r in fs.routing[i] if r >= 0 and not ud.one_hot[i, r]}
             for s in range(5):
                 if s not in touched:
-                    assert not grad[i, s].any()
+                    np.testing.assert_array_equal(stepped[i, s], logits[i, s])
 
     def test_matches_finite_differences_small_instance(self):
         gen = np.random.default_rng(3)
@@ -157,24 +161,29 @@ class TestBackpropToLogits:
                 break
         upstream = gen.normal(size=(2, 4))
         fs, ud = feature_set(logits, state)
-        analytic = backprop_to_logits(upstream, fs, ud)
+        analytic = logits - backprop_to_logits(upstream, fs, ud, logits, 1.0)
         numeric = fd_feature_gradient(logits, state, upstream, h=1e-4)
         np.testing.assert_allclose(analytic, numeric, atol=2e-7)
 
     def test_shape_mismatch(self, rng):
         state = random_state(rng, 2, 3, 4)
-        fs, ud = feature_set(rng.normal(size=(2, 3, 4)), state)
+        logits = rng.normal(size=(2, 3, 4))
+        fs, ud = feature_set(logits, state)
         with pytest.raises(InvalidInputError):
-            backprop_to_logits(np.zeros((2, 5)), fs, ud)
+            backprop_to_logits(np.zeros((2, 5)), fs, ud, logits, 1.0)
 
-    def test_descent_step_matches_dense_gradient(self, rng):
+    def test_step_scales_the_upstream(self, rng):
+        # a power-of-two step rounds exactly, so scaling the step and
+        # scaling the upstream gradient give the same bits
         state = random_state(rng, 3, 5, 6)
         logits = rng.normal(size=(3, 5, 6))
         fs, ud = feature_set(logits, state)
         upstream = rng.normal(size=(3, 6))
-        stepped = backprop_to_logits(upstream, fs, ud, logits=logits, step=0.5)
-        dense = backprop_to_logits(upstream, fs, ud)
-        np.testing.assert_array_equal(stepped, logits - 0.5 * dense)
+        stepped = backprop_to_logits(upstream, fs, ud, logits, 0.5)
+        np.testing.assert_array_equal(
+            stepped, backprop_to_logits(0.5 * upstream, fs, ud, logits, 1.0)
+        )
+        assert np.abs(stepped - logits).max() > 0
 
     def test_routing_outside_pooling_is_contract_error(self, rng):
         masked = np.array([[False, True]])
@@ -183,7 +192,7 @@ class TestBackpropToLogits:
         fs, ud = feature_set(rng.normal(size=(1, 2, 3)), state)
         fs.routing[0, 0] = 0  # illegally route into the prompt row
         with pytest.raises(ContractError):
-            backprop_to_logits(np.ones((1, 3)), fs, ud)
+            backprop_to_logits(np.ones((1, 3)), fs, ud, np.zeros((1, 2, 3)), 1.0)
 
 
 def test_feature_suite_property():

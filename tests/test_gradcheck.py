@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from divdiff.features import unified_distribution
+from divdiff.dpp import dpp_step
+from divdiff.engine import GenerationConfig
+from divdiff.features import backprop_to_logits, feature_set, unified_distribution
 from divdiff.gradcheck import (
     fd_dpp_gradient,
     fd_feature_gradient,
@@ -9,6 +11,7 @@ from divdiff.gradcheck import (
     has_pool_tie,
     random_instance,
 )
+from divdiff.odd import odd_step
 from divdiff.state import MaskState
 
 
@@ -58,3 +61,48 @@ def test_pool_tie_matches_per_sample_scan(prompt_len):
         assert tie == per_sample_pool_tie(logits, state)
         seen.add(tie)
     assert seen == {True, False}
+
+
+def test_random_instance_draws_unmasked_prompts():
+    gen = np.random.default_rng(11)
+    lengths = set()
+    for _ in range(200):
+        _, state = random_instance(gen)
+        assert 0 <= state.prompt_len <= state.length - 2
+        assert not state.masked[:, :state.prompt_len].any()
+        lengths.add(state.prompt_len)
+    assert lengths == set(range(5))  # max_length 6
+
+
+def prompted_instance(seed):
+    gen = np.random.default_rng(seed)
+    for _ in range(100):
+        logits, state = random_instance(gen, min_batch=2)
+        if state.prompt_len > 0 and state.masked.any() and not has_pool_tie(logits, state):
+            return logits, state, gen
+    pytest.fail("random_instance drew no prompted instance in 100 tries")
+
+
+@pytest.mark.parametrize("oracle", ["feature", "odd", "dpp"])
+def test_prompt_rows_get_zero_gradient(oracle):
+    logits, state, gen = prompted_instance(5)
+    if oracle == "feature":
+        upstream = gen.normal(size=(state.batch, state.vocab))
+        fs, ud = feature_set(logits, state)
+        stepped = backprop_to_logits(upstream, fs, ud, logits, 1.0)
+        numeric = fd_feature_gradient(logits, state, upstream)
+    elif oracle == "odd":
+        config = GenerationConfig(alpha=1.0, tolerance=1e-8, anneal="off")
+        stepped = odd_step(logits, state, config, t=1)
+        numeric = fd_odd_gradient(logits, state, 1e-8)
+    else:
+        stepped = dpp_step(logits, state, GenerationConfig(alpha=1.0, anneal="off"), t=1)
+        numeric = fd_dpp_gradient(logits, state, 1e-3)
+    analytic = logits - stepped
+    plen = state.prompt_len
+    assert not analytic[:, :plen].any()
+    assert not numeric[:, :plen].any()
+    # the pooled rows still carry a gradient, so the check is not vacuous
+    assert np.abs(numeric[:, plen:]).max() > 1e-6
+    np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+

@@ -183,10 +183,6 @@ class TestDefaultTask:
                 np.testing.assert_array_equal(seq, seqs[0])
             assert not check_answer(task, seqs[0])
 
-    def test_greedy_correct_variant(self):
-        task = default_task(2, template0_correct=True)
-        assert 0 in task.correct
-
 
 def bigram_count_oracle(corpus, vocab):
     """Direct count table with add-one smoothing."""

@@ -87,6 +87,13 @@ class TestFormatErrors:
         with pytest.raises(InvalidInputError):
             trace_write(tmp_path / "t.oddt", blocks)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (1, 0, 3), (1, 2, 0)])
+    def test_zero_dimension_rejected_on_write(self, tmp_path, shape):
+        path = tmp_path / "t.oddt"
+        with pytest.raises(InvalidInputError):
+            trace_write(path, [np.zeros(shape, dtype=np.float32)])
+        assert not path.exists()
+
     def test_inconsistent_shapes_rejected(self, tmp_path, rng):
         with pytest.raises(InvalidInputError):
             trace_write(
