@@ -1,8 +1,8 @@
 """Walk through the core generation loop on a planted task.
 
-Shows the forward masking process, the linear schedule, greedy collapse
-onto the skewed template, and how temperature alone fails to find the
-planted answers.
+Shows the forward masking process under a linear schedule, greedy
+collapse onto the skewed template, and how temperature alone fails to
+find the planted answers.
 """
 
 import numpy as np
@@ -10,10 +10,8 @@ import numpy as np
 from divdiff import (
     GenerationConfig,
     PlantedDenoiser,
-    build_schedule,
     check_answer,
     default_problem,
-    forward_mask,
     generate_batch,
 )
 
@@ -22,14 +20,14 @@ print(f"task: vocab={task.vocab}, length={task.length}, "
       f"{task.num_templates} templates, correct={sorted(task.correct)}")
 
 # --- the forward corruption process -------------------------------------
-schedule = build_schedule(task.length, 4)
+T = 4
 rng = np.random.default_rng(0)
 clean = task.templates[1]
 print("\nforward masking of a clean sequence (gamma = t/T):")
-for t in range(5):
-    corrupted = forward_mask(clean, t, schedule, rng, task.vocab)
-    shown = " ".join("__" if tok == task.vocab else f"{tok:2d}" for tok in corrupted)
-    print(f"  t={t}  gamma={schedule.gamma[t]:.2f}  {shown}")
+for t in range(T + 1):
+    masked = rng.random(clean.size) < t / T
+    shown = " ".join("__" if hit else f"{tok:2d}" for tok, hit in zip(clean, masked))
+    print(f"  t={t}  gamma={t / T:.2f}  {shown}")
 
 # --- greedy decoding collapses ------------------------------------------
 model = PlantedDenoiser(task)

@@ -45,7 +45,6 @@ from .harness import (
     pairwise_diversity,
     pass_at_k,
     run_single,
-    union_coverage,
 )
 from .linalg import cholesky_logdet, softmax_rows, softmax_vjp, spd_inverse
 from .models import (
@@ -57,10 +56,9 @@ from .models import (
     default_problem,
     default_prompt,
     default_task,
-    planted_predict,
 )
 from .odd import anneal_alpha, odd_losses, odd_step, project_onto_basis
-from .state import MaskState, Schedule, build_schedule, forward_mask, mask_token
+from .state import MaskState, Schedule, build_schedule, mask_token
 from .streams import sample_stream, stream_uniforms
 from .trace import ReplayDenoiser, trace_read, trace_write
 

@@ -147,7 +147,10 @@ def build_model(doc: dict, base_dir=None):
         if not isinstance(corpus, list) or not all(isinstance(seq, list) for seq in corpus):
             raise InvalidInputError("model.corpus must be a list of token lists")
         corpus = [[_cast("model.corpus", token, int) for token in seq] for seq in corpus]
-        return bigram_train(corpus, _cast("model.vocab", vocab, int)), None
+        vocab = _cast("model.vocab", vocab, int)
+        if vocab < 1:
+            raise InvalidInputError(f"model.vocab must be >= 1, got {vocab}")
+        return bigram_train(corpus, vocab), None
     if kind == "trace":
         if "path" not in spec:
             raise InvalidInputError("trace model needs a 'path'")
@@ -194,10 +197,15 @@ def generation_config(doc: dict, model=None, prompt=None) -> GenerationConfig:
     if length is None:
         length = getattr(model, "length", None) or GenerationConfig.length
     length = _cast("length", length, int)
+    plen = 0 if prompt is None else len(prompt)
+    if plen >= length:
+        raise InvalidInputError(
+            f"prompt has {plen} tokens; it must be shorter than the length ({length})"
+        )
     batch = getattr(model, "batch", None) or knob("batch", int)
     steps = doc.get("steps")
     if steps is None:
-        steps = min(GenerationConfig.steps, length - (0 if prompt is None else len(prompt)))
+        steps = min(GenerationConfig.steps, length - plen)
     steps = _cast("steps", steps, int)
     model_steps = getattr(model, "steps", None)
     if model_steps is not None:

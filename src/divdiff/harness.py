@@ -1,4 +1,4 @@
-"""Measurement harness: pass@k, coverage, diversity, grids, and overhead.
+"""Measurement harness: pass@k, diversity, invariance, grids, and overhead.
 
 pass@k uses prefix semantics (the first k of a batch), which is the right
 estimator here because guided samples within a batch are dependent. Grid
@@ -141,44 +141,24 @@ def pass_at_k(reports, k: int) -> float:
     return hits / len(reports)
 
 
-def union_coverage(reports) -> tuple[int, float]:
-    """Problems solved in at least one run of any configuration."""
-    reports = list(reports)
-    if not reports:
-        raise InvalidInputError("union_coverage: no reports")
-    solved = {}
-    for report in reports:
-        hit = (not report.failed) and any(report.correct)
-        solved[report.problem] = solved.get(report.problem, False) or hit
-    count = sum(solved.values())
-    return count, count / len(solved)
-
-
 def pairwise_diversity(items) -> float:
     """Mean over unordered pairs of one minus cosine similarity.
 
     Token sequences are turned into L2-normalized vocabulary histograms;
-    float vectors are compared directly.
+    float vectors are compared directly. One Gram matrix of the normalized
+    rows gives every pair's similarity; each term is clipped to [0, 2].
     """
     rows = [np.asarray(item) for item in items]
     if len(rows) < 2:
         raise InvalidInputError("pairwise_diversity: need at least two items")
     if rows[0].dtype.kind in "iu":
         width = int(max(r.max() for r in rows)) + 1
-        rows = [np.bincount(r, minlength=width).astype(np.float64) for r in rows]
-    else:
-        rows = [r.astype(np.float64) for r in rows]
-    normed = []
-    for r in rows:
-        norm = np.linalg.norm(r)
-        normed.append(r / norm if norm > 0 else r)
-    total, pairs = 0.0, 0
-    for i in range(len(normed)):
-        for j in range(i + 1, len(normed)):
-            term = 1.0 - float(np.dot(normed[i], normed[j]))
-            total += min(2.0, max(0.0, term))
-            pairs += 1
-    return total / pairs
+        rows = [np.bincount(r, minlength=width) for r in rows]
+    x = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    x = x / np.where(norms > 0, norms, 1.0)
+    upper = np.triu_indices(len(x), k=1)
+    return float(np.mean(np.clip(1.0 - (x @ x.T)[upper], 0.0, 2.0)))
 
 
 def invariance_check(model, config: GenerationConfig, m: int, b1: int, b2: int,

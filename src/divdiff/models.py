@@ -9,7 +9,6 @@ skewed template while leaving the other templates reachable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +88,6 @@ class PlantedTask:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"PlantedTask: bad task document ({exc})") from exc
-
-
-def save_task(task: PlantedTask, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(task.to_json(), fh, indent=2)
-        fh.write("\n")
 
 
 def _greedy_survivor(minority: np.ndarray, token_pairs: np.ndarray) -> int:
@@ -180,40 +173,9 @@ def default_problem(problem: int) -> tuple[PlantedTask, np.ndarray]:
     return task, default_prompt(task)
 
 
-def planted_predict(task: PlantedTask, state: MaskState) -> np.ndarray:
-    """Logits from the posterior-weighted template mixture plus a noise floor.
-
-    Templates inconsistent with a sample's committed tokens get zero
-    posterior weight; if nothing remains consistent, the prior is used.
-    """
-    if state.length != task.length or state.vocab != task.vocab:
-        raise InvalidInputError("planted_predict: state does not match the task shape")
-    templates = task.templates
-    b = state.batch
-    m = templates.shape[0]
-    unmasked = ~state.masked
-    # consistent[i, j]: template j agrees with every committed token of sample i
-    agree = templates[None, :, :] == state.realized[:, None, :]
-    consistent = np.all(agree | state.masked[:, None, :], axis=2)
-    posterior = consistent * task.prior()[None, :]
-    totals = posterior.sum(axis=1)
-    dead = totals == 0.0
-    if dead.any():
-        posterior[dead] = task.prior()
-        totals[dead] = 1.0
-    posterior = posterior / totals[:, None]
-    onehot = np.zeros((m, task.length, task.vocab), dtype=np.float64)
-    rows = np.repeat(np.arange(m), task.length)
-    cols = np.tile(np.arange(task.length), m)
-    onehot[rows, cols, templates.ravel()] = 1.0
-    mixture = np.einsum("bm,msv->bsv", posterior, onehot)
-    probs = (1.0 - task.noise_floor) * mixture + task.noise_floor / task.vocab
-    return np.log(probs)
-
-
 class PlantedDenoiser:
-    """Denoiser protocol wrapper around planted_predict; length is a shape
-    hint (see config.generation_config)."""
+    """Denoiser of a planted task; length is a shape hint (see
+    config.generation_config)."""
 
     def __init__(self, task: PlantedTask):
         self.task = task
@@ -221,7 +183,33 @@ class PlantedDenoiser:
         self.length = task.length
 
     def predict(self, state: MaskState, step: int) -> np.ndarray:
-        return planted_predict(self.task, state)
+        """Logits from the posterior-weighted template mixture plus a noise floor.
+
+        Templates inconsistent with a sample's committed tokens get zero
+        posterior weight; if nothing remains consistent, the prior is used.
+        """
+        task = self.task
+        if state.length != task.length or state.vocab != task.vocab:
+            raise InvalidInputError("PlantedDenoiser: state does not match the task shape")
+        templates = task.templates
+        m = templates.shape[0]
+        # consistent[i, j]: template j agrees with every committed token of sample i
+        agree = templates[None, :, :] == state.realized[:, None, :]
+        consistent = np.all(agree | state.masked[:, None, :], axis=2)
+        posterior = consistent * task.prior()[None, :]
+        totals = posterior.sum(axis=1)
+        dead = totals == 0.0
+        if dead.any():
+            posterior[dead] = task.prior()
+            totals[dead] = 1.0
+        posterior = posterior / totals[:, None]
+        onehot = np.zeros((m, task.length, task.vocab), dtype=np.float64)
+        rows = np.repeat(np.arange(m), task.length)
+        cols = np.tile(np.arange(task.length), m)
+        onehot[rows, cols, templates.ravel()] = 1.0
+        mixture = np.einsum("bm,msv->bsv", posterior, onehot)
+        probs = (1.0 - task.noise_floor) * mixture + task.noise_floor / task.vocab
+        return np.log(probs)
 
 
 def check_answer(task: PlantedTask, output) -> bool:

@@ -64,8 +64,9 @@ def aggregate_reports(reports) -> dict:
     Pareto points, and the count of failed runs (excluded throughout).
     Ungraded runs have no pass@k and are left out of the rows.
     """
+    reports = list(reports)
     good = [r for r in reports if not r.failed]
-    failed = len(list(reports)) - len(good)
+    failed = len(reports) - len(good)
     cells = {}
     for report in (r for r in good if r.correct):
         key = (report.guidance, report.theta, report.alpha)

@@ -22,29 +22,19 @@ def mask_token(vocab: int) -> int:
 
 @dataclass
 class Schedule:
-    """Per-step masking probabilities and unmask quotas.
-
-    gamma has length steps + 1 with gamma[0] = 0 and gamma[steps] = 1;
-    unmask_counts has length steps and sums to the generated length.
-    """
+    """Per-step unmask quotas: unmask_counts has length steps and sums to
+    the generated length."""
 
     steps: int
-    gamma: np.ndarray
     unmask_counts: list[int]
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        if g.shape != (self.steps + 1,):
-            raise InvalidInputError("schedule gamma must have steps + 1 entries")
-        if g[0] != 0.0 or g[-1] != 1.0 or np.any(np.diff(g) < 0):
-            raise InvalidInputError("gamma must rise monotonically from 0 to 1")
         if len(self.unmask_counts) != self.steps or any(c < 0 for c in self.unmask_counts):
             raise InvalidInputError("unmask_counts must be non-negative, one per step")
-        self.gamma = g
 
 
 def build_schedule(length: int, steps: int) -> Schedule:
-    """Linear schedule: gamma(t) = t / steps, larger unmask shares first."""
+    """Linear schedule: equal unmask shares, the remainder on the first steps."""
     if steps < 1 or length < 1:
         raise InvalidInputError("build_schedule: need steps >= 1 and length >= 1")
     if steps > length:
@@ -52,23 +42,9 @@ def build_schedule(length: int, steps: int) -> Schedule:
             f"build_schedule: cannot unmask less than one token per step "
             f"(steps={steps} > length={length})"
         )
-    gamma = np.arange(steps + 1, dtype=np.float64) / steps
     base, extra = divmod(length, steps)
     counts = [base + 1] * extra + [base] * (steps - extra)
-    return Schedule(steps=steps, gamma=gamma, unmask_counts=counts)
-
-
-def forward_mask(tokens, t: int, schedule: Schedule, rng, vocab: int) -> np.ndarray:
-    """Corrupt a clean sequence: each position becomes MASK with prob gamma(t)."""
-    tok = np.asarray(tokens, dtype=np.int64)
-    if tok.ndim != 1:
-        raise InvalidInputError("forward_mask: expected a 1-D token sequence")
-    if not 0 <= t <= schedule.steps:
-        raise InvalidInputError(f"forward_mask: step {t} outside [0, {schedule.steps}]")
-    hit = rng.random(tok.size) < schedule.gamma[t]
-    out = tok.copy()
-    out[hit] = mask_token(vocab)
-    return out
+    return Schedule(steps=steps, unmask_counts=counts)
 
 
 @dataclass

@@ -10,7 +10,8 @@ method states it:
   extend_basis, project_onto_basis), with a second orthogonalization pass;
 - the softmax vector-Jacobian product of one row at a time;
 - a sampler that draws from one sample_stream per (sample, step);
-- the bigram denoiser's prediction, one sample and one position at a time.
+- the bigram denoiser's prediction, one sample and one position at a time;
+- the harness's pairwise diversity, one pair at a time.
 
 The DPP kernel is joint over the batch, so its feature gradient is the
 same dense matrix algebra as the library's; around it, features and
@@ -251,3 +252,28 @@ def bigram_predict(model, state: MaskState) -> np.ndarray:
                 right[pos] = model.reverse[state.realized[i, pos + 1]]
         probs[i] = 0.5 * (left + right)
     return np.log(probs)
+
+
+# ---- pairwise diversity ------------------------------------------------------
+
+def pairwise_diversity(items) -> float:
+    """harness.pairwise_diversity: the mean over unordered pairs of one minus
+    the cosine similarity of normalized rows (vocabulary histograms for
+    token sequences), each term clipped to [0, 2]."""
+    rows = [np.asarray(item) for item in items]
+    if rows[0].dtype.kind in "iu":
+        width = int(max(r.max() for r in rows)) + 1
+        rows = [np.bincount(r, minlength=width).astype(np.float64) for r in rows]
+    else:
+        rows = [r.astype(np.float64) for r in rows]
+    normed = []
+    for r in rows:
+        norm = np.linalg.norm(r)
+        normed.append(r / norm if norm > 0 else r)
+    total, pairs = 0.0, 0
+    for i in range(len(normed)):
+        for j in range(i + 1, len(normed)):
+            term = 1.0 - float(np.dot(normed[i], normed[j]))
+            total += min(2.0, max(0.0, term))
+            pairs += 1
+    return total / pairs

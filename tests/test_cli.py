@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from divdiff import cli, harness, linalg
-from divdiff.models import default_task, save_task
+from divdiff.models import default_task
 from divdiff.trace import trace_write
 
 
@@ -96,7 +96,7 @@ class TestGenerate:
 
     def test_explicit_task_file(self, tmp_path, capsys):
         task = default_task(4)
-        save_task(task, tmp_path / "task.json")
+        (tmp_path / "task.json").write_text(json.dumps(task.to_json()))
         config = write_config(
             tmp_path / "c.json", batch=2, temperature=0.0,
             model={"kind": "planted", "task_path": "task.json"},
@@ -159,6 +159,21 @@ class TestConfigCasts:
                               model={"kind": "bigram", "vocab": "abc", "corpus": [[0, 1]]})
         assert cli.main(["generate", "--config", str(config)]) == 2
         assert "error: model.vocab must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vocab", [0, -1])
+    def test_bigram_vocab_below_one_exits_2(self, tmp_path, capsys, vocab):
+        config = write_config(tmp_path / "c.json", prompt="none",
+                              model={"kind": "bigram", "vocab": vocab, "corpus": [[]]})
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert "error: model.vocab must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_prompt_not_shorter_than_the_length_exits_2(self, tmp_path, capsys, extra):
+        size = default_task(0).length + extra
+        config = write_config(tmp_path / "c.json")
+        prompt = json.dumps(list(range(1, size + 1)))
+        assert cli.main(["generate", "--config", str(config), "--set", f"prompt={prompt}"]) == 2
+        assert f"error: prompt has {size} tokens" in capsys.readouterr().err
 
     @pytest.mark.parametrize("assignment", [
         'grid.guidances=["bogus"]', "grid.temperatures=[-1]", "grid.alphas=[-3]",

@@ -1,4 +1,5 @@
-"""The quick demos run end to end against the library in src/.
+"""The quick demos and README's library tour run end to end against the
+library in src/.
 
 Demos 04 (which writes ./demo_results) and 06 take several seconds each
 and are left out to keep the suite fast; run them by hand after changing
@@ -15,14 +16,27 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("demo", [
     "01_generation_basics.py", "02_orthogonal_guidance.py", "03_dpp_baseline.py",
     "05_trace_replay.py",
 ])
 def test_demo_exits_0(tmp_path, demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python([str(ROOT / "demos" / demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library tour", 1)[1]
+    tour = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(["-c", tour], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

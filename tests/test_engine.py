@@ -13,7 +13,7 @@ from divdiff.engine import (
 )
 from divdiff.errors import ContractError, InvalidInputError
 from divdiff.models import PlantedDenoiser, default_problem, default_task
-from divdiff.state import MaskState, build_schedule, forward_mask, mask_token
+from divdiff.state import MaskState, Schedule, build_schedule
 
 
 class TestBuildSchedule:
@@ -27,42 +27,21 @@ class TestBuildSchedule:
     def test_one_per_step(self):
         assert build_schedule(5, 5).unmask_counts == [1] * 5
 
-    def test_gamma_linear(self):
-        sched = build_schedule(10, 4)
-        np.testing.assert_allclose(sched.gamma, [0.0, 0.25, 0.5, 0.75, 1.0])
-
     def test_too_many_steps(self):
         with pytest.raises(InvalidInputError):
             build_schedule(3, 4)
 
+    def test_counts_sum_to_length_and_never_rise(self):
+        for length in range(1, 30):
+            for steps in range(1, length + 1):
+                counts = build_schedule(length, steps).unmask_counts
+                assert len(counts) == steps and sum(counts) == length
+                assert all(a >= b >= 1 for a, b in zip(counts, counts[1:] + [1]))
 
-class TestForwardMask:
-    def test_t_zero_is_identity(self, rng):
-        sched = build_schedule(16, 4)
-        tokens = rng.integers(0, 9, size=16)
-        out = forward_mask(tokens, 0, sched, rng, vocab=9)
-        np.testing.assert_array_equal(out, tokens)
-
-    def test_t_final_masks_everything(self, rng):
-        sched = build_schedule(16, 4)
-        out = forward_mask(rng.integers(0, 9, size=16), 4, sched, rng, vocab=9)
-        assert np.all(out == mask_token(9))
-
-    def test_out_of_range(self, rng):
-        sched = build_schedule(8, 2)
+    @pytest.mark.parametrize("counts", [[2, 2], [2, -1, 3]])
+    def test_schedule_needs_one_non_negative_count_per_step(self, counts):
         with pytest.raises(InvalidInputError):
-            forward_mask(np.zeros(8, dtype=int), 3, sched, rng, vocab=4)
-
-    def test_masked_fraction_matches_binomial_oracle(self):
-        # gamma = 0.5, S = 10000: every one of 100 fixed seeds stays within
-        # 0.5 +/- 0.02 (4 sigma of the binomial)
-        sched = build_schedule(10000, 2)
-        tokens = np.zeros(10000, dtype=np.int64)
-        for seed in range(100):
-            gen = np.random.default_rng(seed)
-            out = forward_mask(tokens, 1, sched, gen, vocab=3)
-            fraction = np.mean(out == mask_token(3))
-            assert abs(fraction - 0.5) <= 0.02
+            Schedule(steps=3, unmask_counts=counts)
 
 
 class TestSampleTokens:

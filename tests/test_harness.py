@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from divdiff.engine import GenerationConfig
 from divdiff.errors import InvalidInputError
 from divdiff.harness import (
@@ -12,7 +13,6 @@ from divdiff.harness import (
     pairwise_diversity,
     pass_at_k,
     run_single,
-    union_coverage,
 )
 from divdiff.models import PlantedDenoiser, default_problem, default_task
 
@@ -55,34 +55,6 @@ class TestPassAtK:
             pass_at_k([report(0, [True])], 2)
 
 
-class TestUnionCoverage:
-    def test_single_run_set_equals_pass_at_b(self):
-        reports = [report(p, [p % 2 == 0]) for p in range(6)]
-        count, fraction = union_coverage(reports)
-        assert count == 3 and fraction == 0.5
-        assert fraction == pass_at_k(reports, 1)
-
-    def test_disjoint_config_sets(self):
-        first = [report(p, [p < 3]) for p in range(10)]
-        second = [report(p, [3 <= p < 7], theta=1.0) for p in range(10)]
-        count, fraction = union_coverage(first + second)
-        assert (count, fraction) == (7, 0.7)
-
-    def test_duplicates_idempotent(self):
-        reports = [report(p, [p == 0]) for p in range(4)]
-        assert union_coverage(reports) == union_coverage(reports + reports)
-
-    def test_union_dominates_every_config(self, rng):
-        configs = {}
-        for theta in (0.0, 1.0, 2.0):
-            configs[theta] = [
-                report(p, list(rng.random(4) < 0.4), theta=theta) for p in range(12)
-            ]
-        _, union_fraction = union_coverage([r for g in configs.values() for r in g])
-        for group in configs.values():
-            assert union_fraction >= union_coverage(group)[1]
-
-
 class TestPairwiseDiversity:
     def test_identical_outputs(self):
         assert pairwise_diversity([[1, 2, 3]] * 4) == 0.0
@@ -107,6 +79,20 @@ class TestPairwiseDiversity:
     def test_needs_two_items(self):
         with pytest.raises(InvalidInputError):
             pairwise_diversity([[1, 2]])
+
+    def test_matches_pair_loop_reference(self, rng):
+        cases = []
+        for _ in range(20):
+            b = int(rng.integers(2, 9))
+            seqs = rng.integers(0, 6, size=(b, 10))
+            seqs[-1] = seqs[0]  # a repeated sequence
+            cases.append(list(seqs))
+            rows = rng.normal(size=(b, 7))
+            cases.append(rows.copy())
+            rows[int(rng.integers(b))] = 0.0  # an all-zero row
+            cases.append(rows)
+        for items in cases:
+            assert abs(pairwise_diversity(items) - reference.pairwise_diversity(items)) <= 1e-12
 
 
 class TestInvarianceCheck:

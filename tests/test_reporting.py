@@ -112,6 +112,17 @@ def test_ungraded_reports_load_and_stay_out_of_pass_at_k(grid_outputs, tmp_path)
     assert mixed["failed_runs"] == 0
 
 
+def test_aggregate_reads_an_iterator_once():
+    good = [RunReport(problem=0, guidance="none", theta=0.0, alpha=0.0, seed=seed,
+                      outputs=[[0]], correct=[seed == 0]) for seed in range(3)]
+    failed = RunReport(problem=0, guidance="none", theta=0.0, alpha=0.0, seed=3,
+                       failed=True, error="RuntimeError: boom")
+    from_list = aggregate_reports(good + [failed])
+    from_iter = aggregate_reports(iter(good + [failed]))
+    assert from_iter["failed_runs"] == from_list["failed_runs"] == 1
+    assert from_iter["rows"] == from_list["rows"]
+
+
 def test_empty_results_dir_rejected(tmp_path):
     with pytest.raises(InvalidInputError):
         regenerate(tmp_path, tmp_path / "out")
