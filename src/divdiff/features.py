@@ -10,7 +10,8 @@ with their one-hot. Gradients in feature space are pushed back to the
 masked logits analytically and applied at once as a descent step: each
 vocabulary entry routes its gradient to the single position that
 attained the max, one-hot rows are constants, and the softmax Jacobian is
-applied to all touched rows of a sample at once.
+applied in place to every row of a sample with a live gradient, inside the
+one buffer that becomes the step (rows no gradient reaches stay exact).
 """
 
 from __future__ import annotations
@@ -129,26 +130,29 @@ def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution,
 
     upstream is (B, V), the gradient of some loss with respect to the
     pooled features. Gradient lands only at (masked position, vocabulary)
-    slots recorded in the routing, so the result is a copy of logits in
-    which only the routed rows change. The gradient itself reads off the
+    slots recorded in the routing, so the result is a new array equal to
+    logits except in the routed rows. The gradient itself reads off the
     step: logits - backprop_to_logits(upstream, fs, ud, logits, 1.0).
     """
     b, s, v = ud.probs.shape
     u = np.asarray(upstream, dtype=np.float64)
     if u.shape != (b, v):
         raise InvalidInputError(f"backprop_to_logits: upstream {u.shape} != ({b}, {v})")
+    x = np.asarray(logits, dtype=np.float64)
+    if x.shape != (b, s, v):
+        raise InvalidInputError(f"backprop_to_logits: logits {x.shape} != ({b}, {s}, {v})")
+    if not np.isfinite(step):
+        raise InvalidInputError(f"backprop_to_logits: step {step} is not finite")
     routed = fs.routing >= 0
     if np.any(routed & ((fs.routing < ud.prompt_len) | (fs.routing >= s))):
         raise ContractError("routing points at a position outside the pooled rows")
-    at_committed = np.take_along_axis(ud.one_hot, np.where(routed, fs.routing, 0), axis=1)
-    live = routed & ~at_committed & (u != 0.0)
-    out = np.array(logits, dtype=np.float64)
+    rows = np.where(routed, fs.routing, 0)
+    live = routed & ~np.take_along_axis(ud.one_hot, rows, axis=1) & (u != 0.0)
+    # each (sample, column) pair scatters to its own slot of buf, 0 unless
+    # live; rows that no live gradient reaches then step by exactly 0
+    buf = np.zeros((b, s, v), dtype=np.float64)
+    np.put_along_axis(buf, rows[:, None, :], np.where(live, u, 0.0)[:, None, :], axis=1)
     for i in np.flatnonzero(live.any(axis=1)):
-        cols = np.flatnonzero(live[i])
-        rows, slot = np.unique(fs.routing[i, cols], return_inverse=True)
-        acc = np.zeros((rows.size, v), dtype=np.float64)
-        acc[slot, cols] = u[i, cols]
-        g = linalg.softmax_vjp(ud.probs[i, rows], acc)
-        g *= step
-        out[i, rows] -= g
-    return out
+        linalg.softmax_vjp(ud.probs[i], buf[i], out=buf[i])
+    buf *= step
+    return np.subtract(x, buf, out=buf)

@@ -39,13 +39,15 @@ def softmax_rows(logits, out=None, return_sums: bool = False):
     return (out, sums[..., 0]) if return_sums else out
 
 
-def softmax_vjp(probs, upstream) -> np.ndarray:
+def softmax_vjp(probs, upstream, out=None) -> np.ndarray:
     """Backpropagate probability-space gradients through softmax, row by row.
 
     probs holds rows p = softmax(z) and upstream the matching gradients
     u = dL/dp, both of shape (..., V). Returns dL/dz = p * (u - (u . p))
     for every row. The row dot products go through one batched np.matmul,
     which gives each row the same BLAS dot product a lone vector would get.
+    With out given (it may be upstream itself) the result is written there;
+    out must have the shape of probs.
     """
     p = np.asarray(probs, dtype=np.float64)
     u = np.asarray(upstream, dtype=np.float64)
@@ -55,7 +57,12 @@ def softmax_vjp(probs, upstream) -> np.ndarray:
         raise InvalidInputError(
             f"softmax_vjp: shape mismatch ({p.shape} probs vs {u.shape} upstream)"
         )
-    grad = u - np.matmul(u[..., None, :], p[..., :, None])[..., 0]
+    if out is not None and out.shape != p.shape:
+        raise InvalidInputError(
+            f"softmax_vjp: shape mismatch ({p.shape} probs vs {out.shape} out)"
+        )
+    # the dots are taken before out is written, so out may alias upstream
+    grad = np.subtract(u, np.matmul(u[..., None, :], p[..., :, None])[..., 0], out=out)
     grad *= p
     return grad
 

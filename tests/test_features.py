@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import reference
 from conftest import random_state
 from divdiff.errors import ContractError, InvalidInputError
 from divdiff.features import (
@@ -193,6 +196,78 @@ class TestBackpropToLogits:
         fs.routing[0, 0] = 0  # illegally route into the prompt row
         with pytest.raises(ContractError):
             backprop_to_logits(np.ones((1, 3)), fs, ud, np.zeros((1, 2, 3)), 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 4, 5), (4, 5)])
+    def test_logits_shape_mismatch(self, rng, shape):
+        # a (1, S, V) or (S, V) array would broadcast against the step
+        state = random_state(rng, 2, 4, 5)
+        fs, ud = feature_set(rng.normal(size=(2, 4, 5)), state)
+        with pytest.raises(InvalidInputError, match="logits"):
+            backprop_to_logits(np.ones((2, 5)), fs, ud, np.zeros(shape), 1.0)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step(self, rng, step):
+        state = random_state(rng, 2, 4, 5)
+        logits = rng.normal(size=(2, 4, 5))
+        fs, ud = feature_set(logits, state)
+        with pytest.raises(InvalidInputError, match="step"):
+            backprop_to_logits(np.ones((2, 5)), fs, ud, logits, step)
+
+
+def wide_case(b, s, v, seed, prompt_len=2, top_k=3):
+    """(upstream, fs, ud, logits, state) past the property tests' shapes:
+    a prompt, a top-k restriction, sample 1 with zero upstream, and
+    nonzero upstream routed to committed rows."""
+    gen = np.random.default_rng(seed)
+    masked = gen.random((b, s)) < 0.6
+    masked[:, :prompt_len] = False
+    realized = gen.integers(0, v, size=(b, s)).astype(np.int64)
+    realized[masked] = mask_token(v)
+    state = MaskState(masked, realized, v, prompt_len)
+    logits = gen.normal(0.0, 2.0, size=(b, s, v))
+    fs, ud = feature_set(logits, state, top_k=top_k)
+    upstream = gen.normal(size=(b, v))
+    upstream[1] = 0.0
+    routed = fs.routing >= 0
+    at_committed = np.take_along_axis(ud.one_hot, np.maximum(fs.routing, 0), axis=1)
+    assert (~routed).any() and (routed & at_committed & (upstream != 0)).any()
+    return upstream, fs, ud, logits, state
+
+
+@pytest.mark.parametrize("shape", [(16, 12, 48), (3, 64, 512)])
+def test_backprop_matches_reference_at_wide_shapes(shape):
+    # at B16.S12.V48 the (B, S, V) passes exceed numpy's 8192-element buffer
+    upstream, fs, ud, logits, state = wide_case(*shape, seed=sum(shape))
+    stepped = backprop_to_logits(upstream, fs, ud, logits, 0.37)
+    expected = reference.descent_step(logits, ud.probs, state, fs.routing, upstream, 0.37)
+    np.testing.assert_array_equal(stepped, expected)
+    assert np.abs(stepped - logits).max() > 0
+
+
+def test_backprop_leaves_its_inputs_untouched():
+    upstream, fs, ud, logits, _ = wide_case(16, 12, 48, seed=5)
+    inputs = (upstream, logits, ud.probs, fs.features, fs.routing)
+    saved = [a.copy() for a in inputs]
+    backprop_to_logits(upstream, fs, ud, logits, 0.37)
+    for before, after in zip(saved, inputs):
+        np.testing.assert_array_equal(after, before)
+
+
+def test_backprop_peak_memory_stays_near_one_tensor():
+    # every row masked and a dense upstream: all rows take the softmax VJP
+    b, s, v = 16, 12, 48
+    gen = np.random.default_rng(8)
+    logits = gen.normal(size=(b, s, v))
+    fs, ud = feature_set(logits, MaskState.fully_masked(b, s, v))
+    upstream = gen.normal(size=(b, v))
+    backprop_to_logits(upstream, fs, ud, logits, 0.5)
+    tracemalloc.start()
+    try:
+        backprop_to_logits(upstream, fs, ud, logits, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * b * s * v * 8
 
 
 def test_feature_suite_property():

@@ -84,6 +84,19 @@ class TestSoftmaxVjp:
         for idx in np.ndindex(4, 3):
             np.testing.assert_array_equal(batched[idx], softmax_vjp(p[idx], u[idx]))
 
+    def test_out_may_be_the_upstream(self, rng):
+        p = softmax_rows(rng.normal(size=(3, 64, 48)))
+        u = rng.normal(size=(3, 64, 48))
+        expected = softmax_vjp(p, u)
+        got = softmax_vjp(p, u, out=u)
+        assert got is u
+        np.testing.assert_array_equal(got, expected)
+
+    def test_out_shape_mismatch(self, rng):
+        p = softmax_rows(rng.normal(size=(2, 5)))
+        with pytest.raises(InvalidInputError, match="out"):
+            softmax_vjp(p, p, out=np.empty((1, 5)))
+
     def test_matches_finite_differences(self):
         # 1000 random vectors, lengths 2..64, relative error <= 1e-6
         gen = np.random.default_rng(42)
