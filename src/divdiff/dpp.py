@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     NumericalError,
 )
-from .features import FeatureSet, backprop_to_logits, feature_set
+from .features import FeatureSet, backprop_to_logits, feature_set, group_rows, per_group
 from .odd import anneal_alpha
 from .state import MaskState
 
@@ -71,16 +71,8 @@ def dpp_loss(l_matrix, eps: float) -> float:
     return float(-(first - second))
 
 
-def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None,
-                    step: float) -> np.ndarray:
-    """Descent step logits - step * (analytic gradient of the DPP loss).
-
-    Quality scores are treated as constants, matching the sequential
-    guidance; one-hot rows stay constants inside the feature extractor.
-    The gradient reads off the step at step 1 (see backprop_to_logits).
-    """
-    x = np.asarray(logits, dtype=np.float64)
-    fs, ud = feature_set(x, state, top_k=top_k)
+def _feature_grad(fs: FeatureSet, eps: float) -> np.ndarray:
+    """(B, V) gradient of one batch's DPP loss with respect to its features."""
     l_matrix, normed, norms = _kernel(fs)
     q = fs.qualities
     eye = np.eye(l_matrix.shape[0])
@@ -91,14 +83,34 @@ def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None,
     grad_gram = grad_l * np.outer(q, q)
     grad_normed = 2.0 * grad_gram @ normed
     radial = np.sum(grad_normed * normed, axis=1, keepdims=True)
-    grad_features = (grad_normed - radial * normed) / norms[:, None]
+    return (grad_normed - radial * normed) / norms[:, None]
+
+
+def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None,
+                    step: float, groups: int = 1) -> np.ndarray:
+    """Descent step logits - step * (analytic gradient of the DPP loss).
+
+    Quality scores are treated as constants, matching the sequential
+    guidance; one-hot rows stay constants inside the feature extractor.
+    The gradient reads off the step at step 1 (see backprop_to_logits).
+    groups equal batches stacked in the rows each get their own kernel;
+    the features and the backprop run once over all rows.
+    """
+    x = np.asarray(logits, dtype=np.float64)
+    group_rows(x.shape[0], groups, "dpp_grad_logits")
+    fs, ud = feature_set(x, state, top_k=top_k)
+    grad_features = per_group(lambda group: _feature_grad(group, eps), fs, groups)
     return backprop_to_logits(grad_features, fs, ud, logits=x, step=step)
 
 
-def dpp_step(logits, state: MaskState, config: GenerationConfig, t: int) -> np.ndarray:
-    """One joint update at t remaining steps: X - alpha_t * grad of the DPP loss."""
+def dpp_step(logits, state: MaskState, config: GenerationConfig, t: int,
+             groups: int = 1) -> np.ndarray:
+    """One joint update at t remaining steps: X - alpha_t * grad of the DPP
+    loss, coupling samples only inside each of `groups` stacked batches."""
     x = np.asarray(logits, dtype=np.float64)
+    group_rows(x.shape[0], groups, "dpp_step")
     alpha_t = anneal_alpha(config.alpha, t, config.anneal, config.steps)
     if alpha_t == 0.0:
         return x.copy()
-    return dpp_grad_logits(x, state, config.jitter, top_k=config.feature_top_k, step=alpha_t)
+    return dpp_grad_logits(x, state, config.jitter, top_k=config.feature_top_k, step=alpha_t,
+                           groups=groups)

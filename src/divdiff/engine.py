@@ -7,7 +7,9 @@ streams keyed by (seed, sample, step), so every sample's draws are
 independent of the batch size and of the host thread count. A run
 computes its streams' uniforms a block of steps at a time, each block in
 one vectorized pass (see streams.stream_uniforms); they are the same
-draws the per-key sample_stream Generators give.
+draws the per-key sample_stream Generators give. One run can stack
+several seeds' batches (run_generation's seeds) and pay each step's fixed
+cost once for all of them.
 GenerationConfig, frozen and checked as it is built or replaced, is the
 one definition of every knob; the guidance steps read theirs from it.
 """
@@ -119,8 +121,13 @@ def sample_tokens(logits, temperature: float, uniforms,
     return proposals, confidences
 
 
-def make_guidance_hook(config: GenerationConfig):
-    """Build the per-step logits hook for the configured guidance, or None."""
+def make_guidance_hook(config: GenerationConfig, groups: int = 1):
+    """Build the per-step logits hook for the configured guidance, or None.
+
+    groups is the number of independent batches stacked in the logits
+    (see run_generation's seeds); guidance couples samples only inside
+    their own batch.
+    """
     if config.guidance == "none":
         return None
     # imported as the hook is built, so a patched odd_step or dpp_step is the one it calls
@@ -128,7 +135,7 @@ def make_guidance_hook(config: GenerationConfig):
         from .odd import odd_step as step
     else:
         from .dpp import dpp_step as step
-    return lambda logits, state, remaining: step(logits, state, config, remaining)
+    return lambda logits, state, remaining: step(logits, state, config, remaining, groups)
 
 
 def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
@@ -172,16 +179,18 @@ def denoise_step(model, state: MaskState, t: int, config: GenerationConfig,
     return out
 
 
-def _step_uniforms(config: GenerationConfig, steps: int):
-    """Every step's (B, S) uniforms in order, drawn a block of steps at a
-    time; None for every step at temperature 0."""
+def _step_uniforms(config: GenerationConfig, steps: int, seeds):
+    """Every step's (k*B, S) uniforms in order, drawn a block of steps at a
+    time, rows j*B to (j+1)*B - 1 from seeds[j]; None for every step at
+    temperature 0."""
     if config.temperature == 0.0:
         yield from [None] * steps
         return
     block = max(1, _BLOCK_DRAWS // (config.batch * config.length))
     for start in range(0, steps, block):
-        yield from stream_uniforms(config.seed, config.batch,
-                                   range(start, min(start + block, steps)), config.length)
+        draws = [stream_uniforms(seed, config.batch, range(start, min(start + block, steps)),
+                                 config.length) for seed in seeds]
+        yield from draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
 
 
 @dataclass
@@ -193,21 +202,54 @@ class GenerationRun:
     guidance_seconds: list[float] = field(default_factory=list)
     total_seconds: float = 0.0
 
+    def split(self, parts: int) -> list["GenerationRun"]:
+        """The runs of `parts` equal batches stacked in this one, in stacking
+        order; each is charged 1/parts of the hook and total seconds."""
+        b = len(self.sequences) // parts
+        hook = [s / parts for s in self.guidance_seconds]
+        st = self.state
+        return [GenerationRun(self.sequences[i:i + b],
+                              MaskState(st.masked[i:i + b], st.realized[i:i + b],
+                                        st.vocab, st.prompt_len),
+                              list(hook), self.total_seconds / parts)
+                for i in range(0, parts * b, b)]
+
+
+def _check_seeds(seeds) -> tuple:
+    """seeds as a tuple of ints; InvalidInputError unless a non-empty
+    sequence of integers (bools are not seeds)."""
+    entries = tuple(seeds) if np.iterable(seeds) else ()
+    if not entries or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                              for s in entries):
+        raise InvalidInputError(f"seeds must be a non-empty sequence of integers, got {seeds!r}")
+    return tuple(int(s) for s in entries)
+
 
 def run_generation(model, config: GenerationConfig, prompt=None,
-                   guidance="auto") -> GenerationRun:
+                   guidance="auto", seeds=None) -> GenerationRun:
     """Run all steps from the fully masked state and return the full record.
 
     Deterministic given (seed, model, config). Pass guidance explicitly to
     override the hook built from the config (None disables guidance).
+
+    seeds (default (config.seed,)) stacks k independent batches of
+    config.batch samples into one state of k*B rows: every step makes one
+    predict, one hook call and one sampling pass for all of them. Rows
+    j*B to (j+1)*B - 1 draw from seeds[j] and equal the solo run with that
+    seed bit for bit (GenerationRun.split takes them apart). Stacking
+    needs a model whose rows are independent of each other; the built-in
+    hook couples samples only inside their own batch, while an explicit
+    hook sees all k*B rows.
     """
+    seeds = (config.seed,) if seeds is None else _check_seeds(seeds)
     prompt_arr = None if prompt is None else np.asarray(prompt, dtype=np.int64)
     plen = 0 if prompt_arr is None else prompt_arr.size
     if plen >= config.length:
         raise InvalidInputError("prompt must be shorter than the generation length")
     schedule = build_schedule(config.length - plen, config.steps)
-    state = MaskState.fully_masked(config.batch, config.length, model.vocab, prompt_arr)
-    hook = make_guidance_hook(config) if guidance == "auto" else guidance
+    rows = len(seeds) * config.batch
+    state = MaskState.fully_masked(rows, config.length, model.vocab, prompt_arr)
+    hook = make_guidance_hook(config, len(seeds)) if guidance == "auto" else guidance
     times: list[float] = []
     timed = None
     if hook is not None:
@@ -217,12 +259,12 @@ def run_generation(model, config: GenerationConfig, prompt=None,
             times.append(time.perf_counter() - t0)
             return result
     start = time.perf_counter()
-    for t, uniforms in enumerate(_step_uniforms(config, schedule.steps)):
+    for t, uniforms in enumerate(_step_uniforms(config, schedule.steps, seeds)):
         state = denoise_step(model, state, t, config, schedule, timed, uniforms)
     total = time.perf_counter() - start
     if state.masked.any():
         raise ContractError("generation finished with masked positions")
-    seqs = [state.realized[i].copy() for i in range(config.batch)]
+    seqs = [state.realized[i].copy() for i in range(rows)]
     return GenerationRun(seqs, state, times, total)
 
 

@@ -124,6 +124,29 @@ def feature_set(logits, state: MaskState,
     return extract_features(ud, top_k=top_k), ud
 
 
+def group_rows(batch: int, groups: int, caller: str) -> int:
+    """Rows per batch when `groups` equal batches are stacked in `batch` rows."""
+    if (isinstance(groups, bool) or not isinstance(groups, (int, np.integer))
+            or groups < 1 or batch % groups):
+        raise InvalidInputError(
+            f"{caller}: groups must be an integer >= 1 that divides the batch of "
+            f"{batch}, got {groups!r}"
+        )
+    return batch // groups
+
+
+def per_group(fn, fs: FeatureSet, groups: int) -> np.ndarray:
+    """fn(feature set of one batch) for each of `groups` equal batches stacked
+    in fs, concatenated in order; one group passes fs itself."""
+    if groups == 1:
+        return fn(fs)
+    b = fs.features.shape[0] // groups
+    return np.concatenate([
+        fn(FeatureSet(fs.features[i:i + b], fs.routing[i:i + b], fs.qualities[i:i + b]))
+        for i in range(0, groups * b, b)
+    ])
+
+
 def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution,
                        logits, step: float) -> np.ndarray:
     """Descent step logits - step * gradient for per-sample feature gradients.

@@ -3,7 +3,8 @@
 pass@k uses prefix semantics (the first k of a batch), which is the right
 estimator here because guided samples within a batch are dependent. Grid
 cells are independent pure functions of their configuration, so they can
-run in parallel; aggregation is a single sorted reduction over reports.
+run in parallel, and cells that differ only in seed run as one stacked
+batch; aggregation is a single sorted reduction over reports.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -188,6 +190,24 @@ def _run_cell(task_factory, base_config, cell) -> RunReport:
         )
 
 
+def _run_stack(task_factory, base_config, key, seeds) -> list[RunReport]:
+    """The reports of the cells that differ only in seed, from one stacked run.
+
+    If the stacked run raises, each cell runs alone, so every report (a
+    failed one's error included) is the one that cell gives by itself.
+    """
+    guidance, theta, alpha, problem = key
+    config = replace(base_config, guidance=guidance, temperature=theta, alpha=alpha)
+    try:
+        task, prompt = task_factory(problem)
+        run = run_generation(PlantedDenoiser(task), config, prompt=prompt, seeds=seeds)
+    except Exception:
+        return [_run_cell(task_factory, base_config, (guidance, theta, alpha, seed, problem))
+                for seed in seeds]
+    return [build_report(part, replace(config, seed=seed), problem, task)
+            for seed, part in zip(seeds, run.split(len(seeds)))]
+
+
 def grid_run(spec: GridSpec, task_factory, base_config: GenerationConfig,
              jobs: int = 1, log=None):
     """Run every grid cell and aggregate pass@k per configuration.
@@ -196,17 +216,34 @@ def grid_run(spec: GridSpec, task_factory, base_config: GenerationConfig,
     (default_problem is one); prompt may be None. A cell whose factory
     call or run raises is recorded as a failed report.
 
+    Cells that differ only in seed run as one stacked batch (see
+    run_generation's seeds; stacking needs a model whose rows are
+    independent, as the planted model's are): one factory call and one
+    run per (guidance, theta, alpha, problem), each cell charged 1/k of
+    the stack's hook and total seconds. Every report otherwise equals the cell's run_single
+    report; reports come back in spec.cells() order, and jobs > 1 runs
+    that many stacks at once.
+
     Returns (reports, aggregates); aggregates come from aggregate_reports,
     so regenerating them later from persisted reports is bit-identical.
     """
     from .reporting import aggregate_reports
 
     cells = list(spec.cells())
+    stacks: dict[tuple, list] = {}
+    for guidance, theta, alpha, seed, problem in cells:
+        stacks.setdefault((guidance, theta, alpha, problem), []).append(seed)
+
+    run_stack = partial(_run_stack, task_factory, base_config)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda c: _run_cell(task_factory, base_config, c), cells))
+            done = list(pool.map(run_stack, stacks, stacks.values()))
     else:
-        reports = [_run_cell(task_factory, base_config, c) for c in cells]
+        done = list(map(run_stack, stacks, stacks.values()))
+    by_cell = {(guidance, theta, alpha, seed, problem): report
+               for ((guidance, theta, alpha, problem), seeds), group in zip(stacks.items(), done)
+               for seed, report in zip(seeds, group)}
+    reports = [by_cell[cell] for cell in cells]
     if log is not None:
         for cell, report in zip(cells, reports):
             status = "failed" if report.failed else "ok"

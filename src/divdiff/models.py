@@ -181,6 +181,13 @@ class PlantedDenoiser:
         self.task = task
         self.vocab = task.vocab
         self.length = task.length
+        # the task is frozen, so its prior and template one-hot are built once
+        m = task.num_templates
+        self._prior = task.prior()
+        self._onehot = np.zeros((m, task.length, task.vocab), dtype=np.float64)
+        rows = np.repeat(np.arange(m), task.length)
+        cols = np.tile(np.arange(task.length), m)
+        self._onehot[rows, cols, task.templates.ravel()] = 1.0
 
     def predict(self, state: MaskState, step: int) -> np.ndarray:
         """Logits from the posterior-weighted template mixture plus a noise floor.
@@ -191,23 +198,17 @@ class PlantedDenoiser:
         task = self.task
         if state.length != task.length or state.vocab != task.vocab:
             raise InvalidInputError("PlantedDenoiser: state does not match the task shape")
-        templates = task.templates
-        m = templates.shape[0]
         # consistent[i, j]: template j agrees with every committed token of sample i
-        agree = templates[None, :, :] == state.realized[:, None, :]
+        agree = task.templates[None, :, :] == state.realized[:, None, :]
         consistent = np.all(agree | state.masked[:, None, :], axis=2)
-        posterior = consistent * task.prior()[None, :]
+        posterior = consistent * self._prior[None, :]
         totals = posterior.sum(axis=1)
         dead = totals == 0.0
         if dead.any():
-            posterior[dead] = task.prior()
+            posterior[dead] = self._prior
             totals[dead] = 1.0
         posterior = posterior / totals[:, None]
-        onehot = np.zeros((m, task.length, task.vocab), dtype=np.float64)
-        rows = np.repeat(np.arange(m), task.length)
-        cols = np.tile(np.arange(task.length), m)
-        onehot[rows, cols, templates.ravel()] = 1.0
-        mixture = np.einsum("bm,msv->bsv", posterior, onehot)
+        mixture = np.einsum("bm,msv->bsv", posterior, self._onehot)
         probs = (1.0 - task.noise_floor) * mixture + task.noise_floor / task.vocab
         return np.log(probs)
 

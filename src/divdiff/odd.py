@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import GenerationConfig
 from .errors import DegenerateInputError, InvalidInputError
-from .features import FeatureSet, backprop_to_logits, feature_set
+from .features import FeatureSet, backprop_to_logits, feature_set, group_rows, per_group
 from .state import MaskState
 
 
@@ -100,16 +100,21 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     return upstream, directions, basis[:rank]
 
 
-def odd_step(logits, state: MaskState, config: GenerationConfig, t: int) -> np.ndarray:
+def odd_step(logits, state: MaskState, config: GenerationConfig, t: int,
+             groups: int = 1) -> np.ndarray:
     """One update at t remaining steps: X - alpha_t * grad of the summed loss.
 
     Sample 1 and any zero-residual sample come back bit-identical; sample
-    i's output depends only on samples 1..i.
+    i's output depends only on samples 1..i. groups equal batches stacked
+    in the rows (see engine.run_generation's seeds) each get their own
+    basis, so each comes back as its lone step would; the features and the
+    backprop run once over all rows.
     """
     x = np.asarray(logits, dtype=np.float64)
+    batch = group_rows(x.shape[0], groups, "odd_step")
     alpha_t = anneal_alpha(config.alpha, t, config.anneal, config.steps)
-    if alpha_t == 0.0 or x.shape[0] == 1:
+    if alpha_t == 0.0 or batch == 1:
         return x.copy()
     fs, ud = feature_set(x, state, top_k=config.feature_top_k)
-    upstream, _, _ = odd_losses(fs, config.tolerance)
+    upstream = per_group(lambda group: odd_losses(group, config.tolerance)[0], fs, groups)
     return backprop_to_logits(upstream, fs, ud, logits=x, step=alpha_t)

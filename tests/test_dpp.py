@@ -192,3 +192,24 @@ class TestDppStep:
 def test_dpp_gradient_suite():
     result = run_dpp_suite(instances=120, seed=32)
     assert result.passed, f"worst relative error {result.worst:.3e}"
+
+
+class TestDppStepGroups:
+    def test_each_group_steps_as_its_lone_batch(self):
+        logits, state = guided_instance(31, batch=12, length=3, vocab=6)
+        config = GenerationConfig(alpha=3.0, anneal="off", feature_top_k=2)
+        stacked = dpp_step(logits, state, config, t=4, groups=3)
+        for i in range(0, 12, 4):
+            part = MaskState(state.masked[i:i + 4], state.realized[i:i + 4], state.vocab)
+            np.testing.assert_array_equal(stacked[i:i + 4],
+                                          dpp_step(logits[i:i + 4], part, config, t=4))
+
+    @pytest.mark.parametrize("groups", [0, -1, 2, 1.5, True])
+    def test_groups_must_divide_the_batch(self, groups):
+        logits, state = guided_instance(32, batch=3)
+        for alpha in (0.0, 8.0):
+            with pytest.raises(InvalidInputError, match="groups"):
+                dpp_step(logits, state, GenerationConfig(alpha=alpha), t=5, groups=groups)
+        with pytest.raises(InvalidInputError, match="groups"):
+            dpp_grad_logits(logits, state, 1e-3, None, 1.0, groups=groups)
+

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from divdiff.engine import (
 from divdiff.errors import ContractError, InvalidInputError
 from divdiff.models import PlantedDenoiser, default_problem, default_task
 from divdiff.state import MaskState, Schedule, build_schedule
+from divdiff.trace import ReplayDenoiser
 
 
 class TestBuildSchedule:
@@ -238,6 +241,100 @@ class TestGenerateBatch:
         config = GenerationConfig(steps=2, length=4, batch=1)
         with pytest.raises(InvalidInputError):
             run_generation(PlantedDenoiser(task), config, prompt=np.zeros(4, dtype=int))
+
+
+class CountingDenoiser(PlantedDenoiser):
+    """Planted denoiser that records the batch of every predict call."""
+
+    def __init__(self, task):
+        super().__init__(task)
+        self.batches = []
+
+    def predict(self, state, step):
+        self.batches.append(state.batch)
+        return super().predict(state, step)
+
+
+class TestStackedSeeds:
+    @pytest.mark.parametrize("guidance", ["none", "odd", "dpp"])
+    @pytest.mark.parametrize("theta", [0.0, 1.5])
+    @pytest.mark.parametrize("prompted", [False, True])
+    @pytest.mark.parametrize("top_k", [None, 3])
+    @pytest.mark.parametrize("seeds", [[402], [7, -3, 402]])
+    def test_rows_equal_the_solo_runs(self, guidance, theta, prompted, top_k, seeds):
+        task, prompt = default_problem(2)
+        prompt = prompt if prompted else None
+        config = GenerationConfig(
+            temperature=theta, steps=task.length - 1, length=task.length, batch=4, seed=0,
+            guidance=guidance, alpha=16.0, feature_top_k=top_k,
+        )
+        model = PlantedDenoiser(task)
+        stacked = run_generation(model, config, prompt=prompt, seeds=seeds)
+        assert len(stacked.sequences) == 4 * len(seeds)
+        for j, seed in enumerate(seeds):
+            solo = run_generation(model, replace(config, seed=seed), prompt=prompt)
+            np.testing.assert_array_equal(np.stack(stacked.sequences[4 * j:4 * j + 4]),
+                                          np.stack(solo.sequences))
+
+    @pytest.mark.parametrize("guidance", ["none", "odd", "dpp"])
+    def test_config_seed_alone_equals_the_default_call(self, guidance):
+        task, prompt = default_problem(3)
+        config = GenerationConfig(
+            temperature=1.0, steps=task.length - 1, length=task.length, batch=4, seed=11,
+            guidance=guidance, alpha=16.0,
+        )
+        model = PlantedDenoiser(task)
+        default = run_generation(model, config, prompt=prompt)
+        explicit = run_generation(model, config, prompt=prompt, seeds=[config.seed])
+        np.testing.assert_array_equal(np.stack(explicit.sequences), np.stack(default.sequences))
+        np.testing.assert_array_equal(explicit.state.realized, default.state.realized)
+        assert len(explicit.guidance_seconds) == len(default.guidance_seconds)
+
+    def test_one_predict_and_one_hook_call_per_step(self):
+        task, prompt = default_problem(1)
+        config = GenerationConfig(
+            temperature=1.0, steps=task.length - 1, length=task.length, batch=4, seed=0,
+            guidance="odd", alpha=16.0,
+        )
+        model = CountingDenoiser(task)
+        run = run_generation(model, config, prompt=prompt, seeds=[1, 2, 3])
+        assert model.batches == [12] * config.steps
+        assert len(run.guidance_seconds) == config.steps
+
+    def test_split_charges_each_batch_its_share(self):
+        task, prompt = default_problem(1)
+        config = GenerationConfig(
+            temperature=1.0, steps=task.length - 1, length=task.length, batch=4, seed=0,
+            guidance="dpp", alpha=16.0,
+        )
+        run = run_generation(PlantedDenoiser(task), config, prompt=prompt, seeds=[5, 6])
+        parts = run.split(2)
+        for j, part in enumerate(parts):
+            assert part.sequences == run.sequences[4 * j:4 * j + 4]
+            np.testing.assert_array_equal(part.state.realized, run.state.realized[4 * j:4 * j + 4])
+            assert part.guidance_seconds == [s / 2 for s in run.guidance_seconds]
+            assert part.total_seconds == run.total_seconds / 2
+
+    @pytest.mark.parametrize("seeds", [[], (), [1.0], [1, 2.5], [True], [1, False], ["3"], 4])
+    def test_rejects_bad_seeds(self, seeds):
+        task = default_task(0)
+        config = GenerationConfig(steps=2, length=task.length, batch=2)
+        with pytest.raises(InvalidInputError, match="seeds"):
+            run_generation(PlantedDenoiser(task), config, seeds=seeds)
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        task = default_task(0)
+        config = GenerationConfig(temperature=1.0, steps=2, length=task.length, batch=2, seed=3)
+        model = PlantedDenoiser(task)
+        stacked = run_generation(model, config, seeds=np.array([3, 4]))
+        solo = run_generation(model, config)
+        np.testing.assert_array_equal(np.stack(stacked.sequences[:2]), np.stack(solo.sequences))
+
+    def test_replay_model_names_both_shapes(self):
+        blocks = np.zeros((3, 4, 5, 6), dtype=np.float32)
+        config = GenerationConfig(temperature=1.0, steps=3, length=5, batch=4, seed=0)
+        with pytest.raises(InvalidInputError, match=r"\(4, 5\).*\(8, 5\)"):
+            run_generation(ReplayDenoiser(blocks), config, seeds=[1, 2])
 
 
 class TestConfigValidation:

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import reference
+from divdiff import harness
 from divdiff.engine import GenerationConfig
 from divdiff.errors import InvalidInputError
 from divdiff.harness import (
@@ -203,6 +206,88 @@ class TestGridRun:
         parallel, agg2 = grid_run(spec, default_problem, small_grid_config(task), jobs=4)
         assert [r.outputs for r in serial] == [r.outputs for r in parallel]
         assert agg1["rows"] == agg2["rows"]
+
+
+def solo_reports(spec, factory, base):
+    """Each cell of spec through run_single, the way one cell runs alone."""
+    reports = []
+    for guidance, theta, alpha, seed, problem in spec.cells():
+        config = replace(base, guidance=guidance, temperature=theta, alpha=alpha, seed=seed)
+        try:
+            task, prompt = factory(problem)
+            reports.append(run_single(task, config, problem=problem, prompt=prompt))
+        except Exception as exc:
+            reports.append(RunReport(problem=problem, guidance=guidance, theta=theta,
+                                     alpha=alpha, seed=seed, failed=True,
+                                     error=f"{type(exc).__name__}: {exc}"))
+    return reports
+
+
+def cell_fields(r):
+    return (r.problem, r.guidance, r.theta, r.alpha, r.seed, r.outputs, r.correct,
+            r.failed, r.error, len(r.per_step_guidance_seconds))
+
+
+class TestGridStacking:
+    SPEC = GridSpec(
+        temperatures=[0.0, 1.0], alphas=[8.0], guidances=["none", "odd", "dpp"],
+        seeds=[0, 5, 402], problems=[0, 1],
+    )
+
+    @staticmethod
+    def base():
+        task = default_task(0)
+        return GenerationConfig(
+            temperature=0.0, steps=task.length - 1, length=task.length, batch=4, seed=0
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_reports_equal_the_solo_cells(self, jobs):
+        reports, _ = grid_run(self.SPEC, default_problem, self.base(), jobs=jobs)
+        expected = solo_reports(self.SPEC, default_problem, self.base())
+        assert [cell_fields(r) for r in reports] == [cell_fields(r) for r in expected]
+        assert not any(r.failed for r in reports)
+
+    def test_one_factory_call_and_one_run_per_stack(self, monkeypatch):
+        calls, runs = [], []
+        real_run = harness.run_generation
+
+        def counting_run(*args, **kwargs):
+            runs.append(kwargs.get("seeds"))
+            return real_run(*args, **kwargs)
+
+        def factory(problem):
+            calls.append(problem)
+            return default_problem(problem)
+
+        monkeypatch.setattr(harness, "run_generation", counting_run)
+        reports, _ = grid_run(self.SPEC, factory, self.base())
+        assert len(reports) == 36  # per problem: 3 guidances x 2 thetas x 3 seeds
+        assert len(calls) == 12 and runs == [[0, 5, 402]] * 12
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_a_raising_stack_reruns_its_cells_alone(self, monkeypatch, jobs):
+        real_run = harness.run_generation
+
+        def fragile_run(model, config, prompt=None, seeds=None):
+            if seeds is not None:
+                raise RuntimeError("stacked run failed")
+            if config.seed == 5 and config.guidance == "odd":
+                raise ValueError(f"seed {config.seed} failed alone")
+            return real_run(model, config, prompt=prompt)
+
+        def factory(problem):
+            if problem == 1:
+                raise KeyError(problem)
+            return default_problem(problem)
+
+        monkeypatch.setattr(harness, "run_generation", fragile_run)
+        reports, aggregates = grid_run(self.SPEC, factory, self.base(), jobs=jobs)
+        expected = solo_reports(self.SPEC, factory, self.base())
+        assert [cell_fields(r) for r in reports] == [cell_fields(r) for r in expected]
+        failed = [r for r in reports if r.failed]
+        assert {r.error for r in failed} == {"KeyError: 1", "ValueError: seed 5 failed alone"}
+        assert aggregates["failed_runs"] == len(failed) == 18 + 2
 
 
 class TestRunSingle:

@@ -286,3 +286,26 @@ class TestOddStep:
 def test_odd_gradient_suite():
     result = run_odd_suite(instances=120, seed=31)
     assert result.passed, f"worst relative error {result.worst:.3e}"
+
+
+class TestOddStepGroups:
+    def test_each_group_steps_as_its_lone_batch(self):
+        logits, state = guided_instance(21, batch=12, length=4, vocab=6)
+        config = GenerationConfig(alpha=3.0, anneal="off", feature_top_k=2)
+        stacked = odd_step(logits, state, config, t=4, groups=3)
+        for i in range(0, 12, 4):
+            part = type(state)(state.masked[i:i + 4], state.realized[i:i + 4], state.vocab)
+            np.testing.assert_array_equal(stacked[i:i + 4],
+                                          odd_step(logits[i:i + 4], part, config, t=4))
+
+    def test_one_sample_groups_are_identity(self):
+        logits, state = guided_instance(22, batch=3)
+        out = odd_step(logits, state, GenerationConfig(alpha=8.0, anneal="off"), t=5, groups=3)
+        np.testing.assert_array_equal(out, logits)
+
+    @pytest.mark.parametrize("groups", [0, -1, 2, 1.5, True])
+    def test_groups_must_divide_the_batch(self, groups):
+        logits, state = guided_instance(23, batch=3)
+        with pytest.raises(InvalidInputError, match="groups"):
+            odd_step(logits, state, GenerationConfig(alpha=8.0), t=5, groups=groups)
+
