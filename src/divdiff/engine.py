@@ -17,6 +17,7 @@ one definition of every knob; the guidance steps read theirs from it.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -38,6 +39,11 @@ ANNEAL_MODES = ("factor", "linear", "off")
 _BLOCK_DRAWS = 4096
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Knobs for one generation run; an invalid value raises
@@ -56,9 +62,16 @@ class GenerationConfig:
     feature_top_k: int | None = None
 
     def __post_init__(self):
+        for name in ("steps", "length", "batch", "seed", "feature_top_k"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or (name == "feature_top_k" and value is None)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         for name in ("temperature", "alpha", "tolerance", "jitter"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.temperature < 0:
             raise InvalidInputError("temperature must be >= 0")
         if self.steps < 1 or self.length < 1 or self.batch < 1:
@@ -95,8 +108,9 @@ def sample_tokens(logits, temperature: float, uniforms,
         raise InvalidInputError("sample_tokens: expected a (B, S, V) logits batch")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("sample_tokens: non-finite logits")
-    if temperature < 0:
-        raise InvalidInputError("sample_tokens: temperature must be >= 0")
+    if not 0 <= temperature < math.inf:
+        raise InvalidInputError(f"sample_tokens: temperature must be finite and >= 0, "
+                                f"got {temperature}")
     b, s, v = x.shape
     rows = np.ones((b, s), dtype=bool) if masked is None else np.asarray(masked, dtype=bool)
     if rows.shape != (b, s):
@@ -219,8 +233,7 @@ def _check_seeds(seeds) -> tuple:
     """seeds as a tuple of ints; InvalidInputError unless a non-empty
     sequence of integers (bools are not seeds)."""
     entries = tuple(seeds) if np.iterable(seeds) else ()
-    if not entries or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                              for s in entries):
+    if not entries or not all(map(_is_integer, entries)):
         raise InvalidInputError(f"seeds must be a non-empty sequence of integers, got {seeds!r}")
     return tuple(int(s) for s in entries)
 

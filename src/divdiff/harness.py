@@ -49,6 +49,12 @@ class RunReport:
         if not isinstance(doc, dict) or doc.get("schema") != 1:
             raise InvalidInputError("RunReport: unsupported document schema")
         try:
+            correct, steps = doc["correct"], doc.get("per_step_guidance_seconds", [])
+            if not (isinstance(correct, list) and all(isinstance(c, bool) for c in correct)):
+                raise TypeError("correct must be a list of booleans")
+            if not (isinstance(steps, list) and all(
+                    isinstance(s, (int, float)) and not isinstance(s, bool) for s in steps)):
+                raise TypeError("per_step_guidance_seconds must be a list of numbers")
             report = cls(
                 problem=int(doc["problem"]),
                 guidance=str(doc["guidance"]),
@@ -56,10 +62,10 @@ class RunReport:
                 alpha=float(doc["alpha"]),
                 seed=int(doc["seed"]),
                 outputs=[list(map(int, out)) for out in doc["outputs"]],
-                correct=[bool(c) for c in doc["correct"]],
+                correct=list(correct),
                 guidance_seconds=float(doc.get("guidance_seconds", 0.0)),
                 total_seconds=float(doc.get("total_seconds", 0.0)),
-                per_step_guidance_seconds=list(doc.get("per_step_guidance_seconds", [])),
+                per_step_guidance_seconds=list(steps),
                 failed=bool(doc.get("failed", False)),
                 error=str(doc.get("error", "")),
             )
@@ -173,37 +179,25 @@ def invariance_check(model, config: GenerationConfig, m: int, b1: int, b2: int,
     return all(np.array_equal(small[i], large[i]) for i in range(m))
 
 
-def _run_cell(task_factory, base_config, cell) -> RunReport:
-    guidance, theta, alpha, seed, problem = cell
-    config = replace(
-        base_config,
-        guidance=guidance, temperature=theta, alpha=alpha, seed=seed,
-    )
-    try:
-        task, prompt = task_factory(problem)
-        return run_single(task, config, problem=problem, prompt=prompt)
-    except Exception as exc:  # a failed cell is recorded, never fatal
-        return RunReport(
-            problem=problem, guidance=guidance, theta=theta, alpha=alpha,
-            seed=seed, failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
 def _run_stack(task_factory, base_config, key, seeds) -> list[RunReport]:
     """The reports of the cells that differ only in seed, from one stacked run.
 
-    If the stacked run raises, each cell runs alone, so every report (a
-    failed one's error included) is the one that cell gives by itself.
+    If a stack of several seeds raises, each seed reruns as a stack of one,
+    which is its run_single run bit for bit, so every report (a failed
+    one's error included) is the one that cell gives by itself. A stack of
+    one that raises is recorded as a failed report, never fatal.
     """
     guidance, theta, alpha, problem = key
     config = replace(base_config, guidance=guidance, temperature=theta, alpha=alpha)
     try:
         task, prompt = task_factory(problem)
         run = run_generation(PlantedDenoiser(task), config, prompt=prompt, seeds=seeds)
-    except Exception:
-        return [_run_cell(task_factory, base_config, (guidance, theta, alpha, seed, problem))
-                for seed in seeds]
+    except Exception as exc:
+        if len(seeds) > 1:
+            return [report for seed in seeds
+                    for report in _run_stack(task_factory, base_config, key, [seed])]
+        return [RunReport(problem=problem, guidance=guidance, theta=theta, alpha=alpha,
+                          seed=seeds[0], failed=True, error=f"{type(exc).__name__}: {exc}")]
     return [build_report(part, replace(config, seed=seed), problem, task)
             for seed, part in zip(seeds, run.split(len(seeds)))]
 
@@ -220,9 +214,10 @@ def grid_run(spec: GridSpec, task_factory, base_config: GenerationConfig,
     run_generation's seeds; stacking needs a model whose rows are
     independent, as the planted model's are): one factory call and one
     run per (guidance, theta, alpha, problem), each cell charged 1/k of
-    the stack's hook and total seconds. Every report otherwise equals the cell's run_single
-    report; reports come back in spec.cells() order, and jobs > 1 runs
-    that many stacks at once.
+    the stack's hook and total seconds. A stack that raises reruns its
+    seeds as stacks of one, so every report otherwise equals the cell's
+    run_single report; reports come back in spec.cells() order, and
+    jobs > 1 runs that many stacks at once.
 
     Returns (reports, aggregates); aggregates come from aggregate_reports,
     so regenerating them later from persisted reports is bit-identical.

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from conftest import random_state
-from divdiff import engine, odd
+from divdiff import engine, harness, odd
 from divdiff.features import FeatureSet
+from divdiff.models import default_problem, default_task
+from divdiff.trace import ReplayDenoiser
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -50,3 +52,30 @@ def test_odd_losses_lists_one_direction_per_candidate():
     directions = odd.odd_losses(fs, 1e-8)[1]
     assert len(directions) == 3
     assert [d is None for d in directions] == [False, True, False]
+
+
+# Spans whose call sites no run reaches any more, until the tracer is
+# updated: runs draw uniforms through stream_uniforms, not sample_stream;
+# the feature pass no longer calls quality_scores; and grid_run reaches
+# run_generation through its stacks, not through run_single.
+STRANDED = {"engine.rng", "features.quality", "harness.cell"}
+
+
+def test_a_grid_and_a_replay_run_reach_every_span():
+    tracing = load_tracing()
+    task = default_task(0)
+    base = engine.GenerationConfig(temperature=1.0, steps=task.length - 1, length=task.length,
+                                   batch=4)
+    spec = harness.GridSpec(temperatures=[1.0], alphas=[16.0], guidances=["none", "odd", "dpp"],
+                            seeds=[0, 1], problems=[0])
+    blocks = np.random.default_rng(3).normal(size=(3, 4, 5, 9)).astype(np.float32)
+    replay = engine.GenerationConfig(temperature=1.0, steps=3, length=5, batch=4,
+                                     guidance="odd", alpha=16.0)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        reports, _ = harness.grid_run(spec, default_problem, base)
+        engine.run_generation(ReplayDenoiser(blocks), replay)
+    assert not any(report.failed for report in reports)
+    assert tracer.missing == [] and tracer.hook_errors == {}
+    names = {name for _, _, name, _ in tracing.targets()} - STRANDED
+    assert sorted(name for name in names if tracer.counts[f"calls:{name}"] == 0) == []

@@ -76,6 +76,11 @@ class TestSampleTokens:
         with pytest.raises(InvalidInputError):
             sample_tokens(np.zeros((1, 1, 2)), -0.1, [])
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_non_finite_temperature_rejected(self, theta):
+        with pytest.raises(InvalidInputError, match="temperature"):
+            sample_tokens(np.zeros((1, 1, 2)), theta, np.full((1, 1), 0.5))
+
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_masked_rows_match_sampling_every_row(self, rng, theta):
         logits = rng.normal(size=(3, 7, 6))
@@ -351,3 +356,21 @@ class TestConfigValidation:
     def test_rejects_non_finite_knob(self, knob, value):
         with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
             GenerationConfig(**{knob: value})
+
+    @pytest.mark.parametrize("knob", ["steps", "length", "batch", "seed", "feature_top_k"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_knob(self, knob, value):
+        with pytest.raises(InvalidInputError, match=f"{knob} must be an integer"):
+            GenerationConfig(**{knob: value})
+
+    @pytest.mark.parametrize("knob", ["temperature", "alpha", "tolerance", "jitter"])
+    @pytest.mark.parametrize("value", [True, "1.0"])
+    def test_rejects_bool_or_non_number_float_knob(self, knob, value):
+        with pytest.raises(InvalidInputError, match=f"{knob} must be a number"):
+            GenerationConfig(**{knob: value})
+
+    def test_accepts_numpy_numbers(self):
+        config = GenerationConfig(steps=np.int64(3), length=np.int32(4), batch=np.uint8(2),
+                                  seed=np.int64(7), feature_top_k=np.int16(2),
+                                  temperature=np.float32(0.5), alpha=np.int64(8))
+        assert config.steps == 3 and config.feature_top_k == 2 and config.alpha == 8

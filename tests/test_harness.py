@@ -270,11 +270,12 @@ class TestGridStacking:
         real_run = harness.run_generation
 
         def fragile_run(model, config, prompt=None, seeds=None):
-            if seeds is not None:
+            seeds = [config.seed] if seeds is None else list(seeds)
+            if len(seeds) > 1:
                 raise RuntimeError("stacked run failed")
-            if config.seed == 5 and config.guidance == "odd":
-                raise ValueError(f"seed {config.seed} failed alone")
-            return real_run(model, config, prompt=prompt)
+            if seeds[0] == 5 and config.guidance == "odd":
+                raise ValueError(f"seed {seeds[0]} failed alone")
+            return real_run(model, config, prompt=prompt, seeds=seeds)
 
         def factory(problem):
             if problem == 1:

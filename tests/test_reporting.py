@@ -70,6 +70,24 @@ def test_malformed_report_skipped_with_warning(grid_outputs, tmp_path):
     assert len(warnings) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("correct", ["false"] * 4),  # the batch's length; bool("false") is True
+    ("per_step_guidance_seconds", "ab"),
+])
+def test_report_with_mistyped_list_skipped_with_warning(grid_outputs, tmp_path, key, value):
+    reports, _ = grid_outputs
+    doc = reports[0].to_json()
+    doc[key] = value
+    with pytest.raises(InvalidInputError, match=key):
+        RunReport.from_json(doc)
+    results = tmp_path / "results"
+    write_reports(reports, results)
+    (results / "run_mistyped.json").write_text(json.dumps(doc))
+    warnings = []
+    assert len(load_reports(results, warn=warnings.append)) == len(reports)
+    assert len(warnings) == 1 and key in warnings[0]
+
+
 def test_schema_1_document_with_final_features_loads(grid_outputs, tmp_path):
     # runs written before final_features was dropped carry it; it is ignored
     report = grid_outputs[0][0]
