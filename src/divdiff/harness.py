@@ -55,18 +55,22 @@ class RunReport:
             if not (isinstance(steps, list) and all(
                     isinstance(s, (int, float)) and not isinstance(s, bool) for s in steps)):
                 raise TypeError("per_step_guidance_seconds must be a list of numbers")
+            outputs, failed = doc["outputs"], doc.get("failed", False)
+            if not (isinstance(failed, bool) and isinstance(outputs, list) and all(
+                    isinstance(o, list) and all(type(t) is int for t in o) for o in outputs)):
+                raise TypeError("failed must be a boolean and outputs lists of integers")
             report = cls(
                 problem=int(doc["problem"]),
                 guidance=str(doc["guidance"]),
                 theta=float(doc["theta"]),
                 alpha=float(doc["alpha"]),
                 seed=int(doc["seed"]),
-                outputs=[list(map(int, out)) for out in doc["outputs"]],
+                outputs=[list(out) for out in outputs],
                 correct=list(correct),
                 guidance_seconds=float(doc.get("guidance_seconds", 0.0)),
                 total_seconds=float(doc.get("total_seconds", 0.0)),
                 per_step_guidance_seconds=list(steps),
-                failed=bool(doc.get("failed", False)),
+                failed=failed,
                 error=str(doc.get("error", "")),
             )
         except (KeyError, TypeError, ValueError) as exc:

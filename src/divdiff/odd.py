@@ -6,13 +6,15 @@ the basis built from samples 1..i-1, weighted by its quality score, and
 its masked logits are pushed along the gradient that grows that residual.
 The basis is one (rank, V) array of orthonormal rows, filled in sample
 order by Gram-Schmidt with a second orthogonalization pass, and
-project_onto_basis is the one projection onto it. The basis and
-projections are constants under differentiation, so sample i's update
-depends only on samples 1..i: prefixes agree across batch sizes.
+project_onto_basis is the one projection onto it (exact repeats skip it).
+The basis and projections are constants under differentiation, so sample
+i's update depends only on samples 1..i: prefixes agree across batch sizes.
 odd_step reads its knobs from the already-checked GenerationConfig.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,7 +66,8 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     zero. directions[j] = r_i / |r_i| belongs to sample i = j + 2 (the list
     is empty for a batch of one). A residual at or below the tolerance
     gives direction None and a zero upstream row, and does not extend the
-    basis. basis is the (rank, V) array of orthonormal rows. Each sample is
+    basis; so does a bit-for-bit repeat of an earlier row, at any tolerance.
+    basis is the (rank, V) array of orthonormal rows. Each distinct row is
     projected once; its residual is the first Gram-Schmidt pass. The second
     pass projects that residual once more, and what is left, normalized,
     fills the next basis row unless it is within tolerance.
@@ -75,7 +78,7 @@ def odd_losses(fs: FeatureSet, tolerance: float):
         raise InvalidInputError("odd_losses: expected (B, V) features with B >= 1")
     if q.shape != (v.shape[0],):
         raise InvalidInputError(f"odd_losses: qualities {q.shape} != ({v.shape[0]},)")
-    first_norm = np.linalg.norm(v[0])
+    first_norm = math.sqrt(v[0] @ v[0])
     if first_norm <= tolerance:
         raise DegenerateInputError("odd_losses: first feature vector is numerically zero")
     basis = np.empty(v.shape)
@@ -83,9 +86,15 @@ def odd_losses(fs: FeatureSet, tolerance: float):
     rank = 1
     upstream = np.zeros(v.shape)
     directions: list[np.ndarray | None] = []
+    seen = {v[0].tobytes()}
     for i in range(1, v.shape[0]):
+        key = v[i].tobytes()
+        if key in seen:
+            directions.append(None)
+            continue
+        seen.add(key)
         residual = v[i] - project_onto_basis(basis[:rank], v[i])
-        norm = np.linalg.norm(residual)
+        norm = math.sqrt(residual @ residual)
         if norm <= tolerance:
             directions.append(None)
             continue
@@ -93,7 +102,7 @@ def odd_losses(fs: FeatureSet, tolerance: float):
         directions.append(direction)
         upstream[i] = -q[i] * direction
         second = residual - project_onto_basis(basis[:rank], residual)
-        second_norm = np.linalg.norm(second)
+        second_norm = math.sqrt(second @ second)
         if second_norm > tolerance:
             basis[rank] = second / second_norm
             rank += 1
@@ -108,7 +117,7 @@ def odd_step(logits, state: MaskState, config: GenerationConfig, t: int,
     i's output depends only on samples 1..i. groups equal batches stacked
     in the rows (see engine.run_generation's seeds) each get their own
     basis, so each comes back as its lone step would; the features and the
-    backprop run once over all rows.
+    backprop run once over all rows (the backprop only if a sample moves).
     """
     x = np.asarray(logits, dtype=np.float64)
     batch = group_rows(x.shape[0], groups, "odd_step")
@@ -117,4 +126,6 @@ def odd_step(logits, state: MaskState, config: GenerationConfig, t: int,
         return x.copy()
     fs, ud = feature_set(x, state, top_k=config.feature_top_k)
     upstream = per_group(lambda group: odd_losses(group, config.tolerance)[0], fs, groups)
+    if not upstream.any():  # the backprop would subtract +0.0 everywhere
+        return x.copy()
     return backprop_to_logits(upstream, fs, ud, logits=x, step=alpha_t)

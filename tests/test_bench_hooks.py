@@ -54,6 +54,36 @@ def test_odd_losses_lists_one_direction_per_candidate():
     assert [d is None for d in directions] == [False, True, False]
 
 
+def test_active_share_counts_repeats_as_inactive(monkeypatch):
+    # at theta 0 every sample of a batch starts as the same argmax, so odd
+    # sees exact repeats; the tracer must still count one candidate per
+    # sample after the first and one active direction per non-None entry
+    tracing = load_tracing()
+    seen, odd_losses = [], odd.odd_losses
+
+    def recorded(fs, tolerance):
+        result = odd_losses(fs, tolerance)
+        seen.append((fs.features, result[1]))
+        return result
+
+    monkeypatch.setattr(odd, "odd_losses", recorded)
+    task = default_task(0)
+    base = engine.GenerationConfig(steps=task.length - 1, length=task.length, batch=4)
+    spec = harness.GridSpec(temperatures=[0.0, 1.0], alphas=[16.0], guidances=["odd"],
+                            seeds=[0, 1], problems=[0])
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        reports, _ = harness.grid_run(spec, default_problem, base)
+    assert not any(report.failed for report in reports)
+    assert tracer.counts["calls:odd.losses"] == len(seen) > 0
+    assert tracer.counts["odd.candidates"] == 3 * len(seen)
+    assert tracer.counts["odd.active"] == sum(d is not None for _, ds in seen for d in ds)
+    repeats = [(i, d) for rows, ds in seen for i, d in enumerate(ds, start=1)
+               if any(rows[i].tobytes() == rows[j].tobytes() for j in range(i))]
+    assert repeats and all(d is None for _, d in repeats)
+    assert tracer.counts["odd.active"] > 0
+
+
 # Spans whose call sites no run reaches any more, until the tracer is
 # updated: runs draw uniforms through stream_uniforms, not sample_stream;
 # the feature pass no longer calls quality_scores; and grid_run reaches

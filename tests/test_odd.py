@@ -5,9 +5,10 @@ import pytest
 
 import reference
 from conftest import random_state
+from divdiff import odd as odd_module
 from divdiff.engine import GenerationConfig
 from divdiff.errors import DegenerateInputError, InvalidInputError
-from divdiff.features import FeatureSet, feature_set
+from divdiff.features import FeatureSet, backprop_to_logits, feature_set
 from divdiff.gradcheck import fd_odd_gradient, frozen_odd_targets, has_pool_tie, run_odd_suite
 from divdiff.odd import anneal_alpha, odd_losses, odd_step, project_onto_basis
 from reference import OrthoBasis, extend_basis
@@ -109,6 +110,20 @@ class TestOddLosses:
         assert dirs[0] is None and not upstream.any()
         assert len(basis) == 1
 
+    # an exact repeat is skipped at any tolerance > 0; projected, it would
+    # leave a rounding residual that 1e-300 turns into a unit direction
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-300])
+    @pytest.mark.parametrize("rows, skipped", [
+        ([[1.0, 1.0], [1.0, 1.0]], [True]),
+        ([[0.3, 0.1, 0.7], [0.2, 0.9, 0.4], [0.3, 0.1, 0.7], [0.2, 0.9, 0.4]],
+         [False, True, True]),  # repeats after the basis grew
+    ])
+    def test_exact_repeat_skipped_at_any_tolerance(self, rows, skipped, tolerance):
+        upstream, dirs, basis = odd_losses(features_only(rows), tolerance)
+        assert [d is None for d in dirs] == skipped
+        assert not upstream[1:][skipped].any()
+        assert len(basis) == len(rows) - sum(skipped)
+
     def test_quality_weighting(self):
         fs = features_only([[1.0, 0.0], [0.0, 1.0]], qualities=[1.0, 0.25])
         upstream, _, _ = odd_losses(fs, 1e-8)
@@ -168,6 +183,18 @@ def guided_instance(seed, batch=3, length=4, vocab=6):
         state = random_state(gen, batch, length, vocab)
         if not has_pool_tie(logits, state):
             return logits, state
+
+
+def spy_on_backprop(monkeypatch):
+    """Record each odd_step call of backprop_to_logits in the returned list."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return backprop_to_logits(*args, **kwargs)
+
+    monkeypatch.setattr(odd_module, "backprop_to_logits", spy)
+    return calls
 
 
 class TestOddParams:
@@ -241,17 +268,22 @@ class TestOddStep:
         out2 = odd_step(bumped, state, params, t=3)
         np.testing.assert_array_equal(out2[:3], out[:3])
 
-    def test_zero_residual_sample_untouched(self):
+    def test_zero_residual_sample_untouched(self, monkeypatch):
+        # no sample moves, so the logits come back bit for bit, a -0.0 entry
+        # included, and the backprop never runs
         gen = np.random.default_rng(8)
         logits = gen.normal(size=(1, 3, 4))
+        logits[0, 0, 0] = -0.0
         logits = np.concatenate([logits, logits], axis=0)  # sample 2 duplicates sample 1
         state = random_state(gen, 1, 3, 4)
         state = type(state)(
             np.concatenate([state.masked] * 2), np.concatenate([state.realized] * 2),
             state.vocab,
         )
+        calls = spy_on_backprop(monkeypatch)
         out = odd_step(logits, state, GenerationConfig(alpha=5.0, anneal="off"), t=2)
-        np.testing.assert_array_equal(out, logits)
+        np.testing.assert_array_equal(out.view(np.uint64), logits.view(np.uint64))
+        assert calls == []
 
     def test_basis_orthonormal_after_step(self):
         gen = np.random.default_rng(9)
@@ -297,6 +329,23 @@ class TestOddStepGroups:
             part = type(state)(state.masked[i:i + 4], state.realized[i:i + 4], state.vocab)
             np.testing.assert_array_equal(stacked[i:i + 4],
                                           odd_step(logits[i:i + 4], part, config, t=4))
+
+    def test_backprop_runs_when_one_group_moves(self, monkeypatch):
+        live, live_state = guided_instance(24, batch=2)
+        dead = np.concatenate([live[:1]] * 2)  # a duplicated sample: nothing moves
+        dead[:, 0, 0] = -0.0
+        logits = np.concatenate([dead, live, dead])
+        rows = [0, 0, 0, 1, 0, 0]
+        state = type(live_state)(live_state.masked[rows], live_state.realized[rows],
+                                 live_state.vocab)
+        calls = spy_on_backprop(monkeypatch)
+        out = odd_step(logits, state, GenerationConfig(alpha=8.0, anneal="off"), t=5, groups=3)
+        assert len(calls) == 1
+        for i in (0, 4):
+            np.testing.assert_array_equal(out[i:i + 2].view(np.uint64), dead.view(np.uint64))
+        live_out = odd_step(live, live_state, GenerationConfig(alpha=8.0, anneal="off"), t=5)
+        np.testing.assert_array_equal(out[2:4], live_out)
+        assert np.abs(live_out - live).max() > 0
 
     def test_one_sample_groups_are_identity(self):
         logits, state = guided_instance(22, batch=3)

@@ -48,6 +48,14 @@ class OwnStateModel:
         return self.base[None] + self.mix[state.realized].mean(axis=1)[:, None, :]
 
 
+# (source, near) for samples 1..5. An exact copy repeats its source's
+# feature row bit for bit, which odd_losses skips. A near copy's features
+# differ in the low bits: a distinct row that the tolerance keeps out of
+# the basis. Sample 3 repeats such a row (sample 1) after sample 2 grew the
+# basis; sample 4 repeats sample 0 after it.
+SCRIPTED_COPIES = [(0, True), (None, False), (1, False), (0, False), (2, True)]
+
+
 @st.composite
 def step_cases(draw):
     """(logits, state, schedule, t, temperature, alpha, top_k)."""
@@ -69,8 +77,18 @@ def step_cases(draw):
         masked[i, free[:max(short, 0)]] = True
     realized = gen.integers(0, v, size=(b, s))
     realized[masked] = mask_token(v)
-    if b > 1 and draw(st.booleans()):  # a repeated sample hits the zero-residual branch
-        logits[-1], masked[-1], realized[-1] = logits[0], masked[0], realized[0]
+    # copies of earlier samples, as (source, near) per sample: "some" draws
+    # them at random, "script" takes SCRIPTED_COPIES, "all" makes the batch
+    # one sample B times
+    repeats = draw(st.sampled_from(["none", "some", "script", "all"]))
+    for i in range(1, b if repeats != "none" else 1):
+        if repeats == "some":
+            j, near = draw(st.one_of(st.none(), st.integers(0, i - 1))), draw(st.booleans())
+        else:
+            j, near = (0, False) if repeats == "all" else SCRIPTED_COPIES[i - 1]
+        if j is not None:
+            logits[i] = logits[j] * (1.0 + 1e-12) if near else logits[j]
+            masked[i], realized[i] = masked[j], realized[j]
     state = MaskState(masked, realized, v, plen)
     temperature = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
     alpha = draw(st.sampled_from([0.0, 0.5, 4.0, 32.0]))

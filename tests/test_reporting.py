@@ -73,6 +73,9 @@ def test_malformed_report_skipped_with_warning(grid_outputs, tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("correct", ["false"] * 4),  # the batch's length; bool("false") is True
     ("per_step_guidance_seconds", "ab"),
+    ("failed", "false"),  # bool("false") is True: a good run loaded as failed
+    ("outputs", [[1.9, "2"]] * 4),  # int() made these [1, 2]
+    ("outputs", [[True, 2]] * 4),
 ])
 def test_report_with_mistyped_list_skipped_with_warning(grid_outputs, tmp_path, key, value):
     reports, _ = grid_outputs
