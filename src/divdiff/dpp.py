@@ -5,8 +5,8 @@ weighted by the quality outer product. The loss is the negative log-det
 ratio of the jittered kernel; its analytic gradient flows through the
 kernel, the normalization, and the feature extractor back to the masked
 logits. Unlike the sequential guidance, every sample's update depends on
-the whole batch. dpp_step reads its knobs from the already-checked
-GenerationConfig.
+the whole batch; stacked batches share one kernel stack, bit for bit as
+alone. dpp_step reads its knobs from the already-checked GenerationConfig.
 """
 
 from __future__ import annotations
@@ -15,31 +15,26 @@ import numpy as np
 
 from . import linalg
 from .engine import GenerationConfig
-from .errors import (
-    DegenerateInputError,
-    FactorizationError,
-    InvalidInputError,
-    NumericalError,
-)
-from .features import FeatureSet, backprop_to_logits, feature_set, group_rows, per_group
+from .errors import DegenerateInputError, FactorizationError, InvalidInputError, NumericalError
+from .features import FeatureSet, backprop_to_logits, feature_set, group_rows
 from .odd import anneal_alpha
 from .state import MaskState
 
 
-def _kernel(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L-ensemble, L2-normalized features, feature norms) of a feature set."""
-    v = fs.features
-    norms = np.linalg.norm(v, axis=1)
+def _kernels(features: np.ndarray, qualities: np.ndarray):
+    """(L-ensembles, normalized features, norms, quality outer products) of
+    (G, B, V) features and (G, B) qualities: one kernel per stacked batch."""
+    norms = np.linalg.norm(features, axis=-1)
     if np.any(norms <= 0):
         raise DegenerateInputError("build_l_ensemble: zero-norm feature vector")
-    normed = v / norms[:, None]
-    gram = normed @ normed.T
-    return gram * np.outer(fs.qualities, fs.qualities), normed, norms
+    normed = features / norms[..., None]
+    weights = qualities[:, :, None] * qualities[:, None, :]
+    return (normed @ normed.swapaxes(1, 2)) * weights, normed, norms, weights
 
 
 def build_l_ensemble(fs: FeatureSet) -> np.ndarray:
     """Quality-weighted similarity kernel of the normalized batch features."""
-    return _kernel(fs)[0]
+    return _kernels(fs.features[None], fs.qualities[None])[0][0]
 
 
 def _with_retry(factorize, m: np.ndarray, eps: float):
@@ -71,19 +66,20 @@ def dpp_loss(l_matrix, eps: float) -> float:
     return float(-(first - second))
 
 
-def _feature_grad(fs: FeatureSet, eps: float) -> np.ndarray:
-    """(B, V) gradient of one batch's DPP loss with respect to its features."""
-    l_matrix, normed, norms = _kernel(fs)
-    q = fs.qualities
-    eye = np.eye(l_matrix.shape[0])
-    grad_l = -(
-        _with_retry(linalg.spd_inverse, l_matrix + eps * eye, eps)
-        - _with_retry(linalg.spd_inverse, l_matrix + (1.0 + eps) * eye, eps)
-    )
-    grad_gram = grad_l * np.outer(q, q)
-    grad_normed = 2.0 * grad_gram @ normed
-    radial = np.sum(grad_normed * normed, axis=1, keepdims=True)
-    return (grad_normed - radial * normed) / norms[:, None]
+def _stacked_feature_grad(fs: FeatureSet, groups: int, eps: float) -> np.ndarray:
+    """(G·B, V) gradient of each of `groups` stacked batches' DPP loss with
+    respect to its own features; its temporaries are freed on return."""
+    b = fs.features.shape[0] // groups
+    l_matrix, normed, norms, weights = _kernels(fs.features.reshape(groups, b, -1),
+                                                fs.qualities.reshape(groups, b))
+    jittered = np.concatenate([l_matrix + eps * np.eye(b), l_matrix + (1.0 + eps) * np.eye(b)])
+    try:
+        inv = linalg.spd_inverse(jittered)
+    except FactorizationError:  # each matrix alone: only a failing one retries
+        inv = np.stack([_with_retry(linalg.spd_inverse, m, eps) for m in jittered])
+    grad_normed = 2.0 * (-(inv[:groups] - inv[groups:]) * weights) @ normed
+    radial = np.sum(grad_normed * normed, axis=-1, keepdims=True)
+    return ((grad_normed - radial * normed) / norms[..., None]).reshape(groups * b, -1)
 
 
 def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None,
@@ -99,8 +95,7 @@ def dpp_grad_logits(logits, state: MaskState, eps: float, top_k: int | None,
     x = np.asarray(logits, dtype=np.float64)
     group_rows(x.shape[0], groups, "dpp_grad_logits")
     fs, ud = feature_set(x, state, top_k=top_k)
-    grad_features = per_group(lambda group: _feature_grad(group, eps), fs, groups)
-    return backprop_to_logits(grad_features, fs, ud, logits=x, step=step)
+    return backprop_to_logits(_stacked_feature_grad(fs, groups, eps), fs, ud, logits=x, step=step)
 
 
 def dpp_step(logits, state: MaskState, config: GenerationConfig, t: int,

@@ -10,13 +10,14 @@ batch; aggregation is a single sorted reduction over reports.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .engine import GenerationConfig, GenerationRun, run_generation
+from .engine import GUIDANCE_KINDS, GenerationConfig, GenerationRun, run_generation
 from .errors import InvalidInputError
 from .models import PlantedDenoiser, PlantedTask, check_answer
 
@@ -59,21 +60,30 @@ class RunReport:
             if not (isinstance(failed, bool) and isinstance(outputs, list) and all(
                     isinstance(o, list) and all(type(t) is int for t in o) for o in outputs)):
                 raise TypeError("failed must be a boolean and outputs lists of integers")
+            numbers = {k: doc[k] for k in ("problem", "seed", "theta", "alpha")}
+            numbers.update((k, doc.get(k, 0.0)) for k in ("guidance_seconds", "total_seconds"))
+            for key, value in numbers.items():
+                kind = "integer" if key in ("problem", "seed") else "finite number"
+                if type(value) not in ((int,) if kind == "integer" else (int, float)) or (
+                        type(value) is float and not math.isfinite(value)):
+                    raise TypeError(f"{key} must be a JSON {kind}")
+            if doc["guidance"] not in GUIDANCE_KINDS:
+                raise ValueError(f"guidance must be one of {', '.join(GUIDANCE_KINDS)}")
             report = cls(
-                problem=int(doc["problem"]),
-                guidance=str(doc["guidance"]),
-                theta=float(doc["theta"]),
-                alpha=float(doc["alpha"]),
-                seed=int(doc["seed"]),
+                problem=numbers["problem"],
+                guidance=doc["guidance"],
+                theta=float(numbers["theta"]),
+                alpha=float(numbers["alpha"]),
+                seed=numbers["seed"],
                 outputs=[list(out) for out in outputs],
                 correct=list(correct),
-                guidance_seconds=float(doc.get("guidance_seconds", 0.0)),
-                total_seconds=float(doc.get("total_seconds", 0.0)),
+                guidance_seconds=float(numbers["guidance_seconds"]),
+                total_seconds=float(numbers["total_seconds"]),
                 per_step_guidance_seconds=list(steps),
                 failed=failed,
                 error=str(doc.get("error", "")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(
                 f"RunReport: malformed document ({type(exc).__name__}: {exc})"
             ) from exc

@@ -2,15 +2,15 @@
 
 Everything operates on float64 numpy arrays: stable row softmax, the
 softmax vector-Jacobian product used for analytic backprop, and SPD
-helpers (log-determinant and inverse via Cholesky). Inputs are validated
-against the documented preconditions; callers are expected to hold the
-returned arrays immutable.
+helpers (log-determinant, and inverse of a matrix or a stack, via Cholesky).
+Inputs are validated against the documented preconditions; callers are
+expected to hold the returned arrays immutable.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import FactorizationError, InvalidInputError
 
@@ -67,17 +67,18 @@ def softmax_vjp(probs, upstream, out=None) -> np.ndarray:
     return grad
 
 
-def _as_spd_input(m, name: str) -> np.ndarray:
+def _as_spd_input(m, name: str, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if not (a.ndim == 2 or stack and a.ndim > 2) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise InvalidInputError(f"{name}: expected a non-empty square matrix")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name}: non-finite entries")
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.T).max() > SYMMETRY_TOL * scale:
+    at = a.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if np.any(np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise InvalidInputError(f"{name}: matrix is not symmetric within {SYMMETRY_TOL:g}")
     # Kernel construction introduces rounding asymmetry; remove it here.
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
 
 
 def cholesky_logdet(m) -> float:
@@ -95,11 +96,15 @@ def cholesky_logdet(m) -> float:
 
 
 def spd_inverse(m) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    a = _as_spd_input(m, "spd_inverse")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError(f"spd_inverse: {exc}") from exc
-    inv = scipy.linalg.cho_solve(factor, np.eye(a.shape[0]), check_finite=False)
-    return 0.5 * (inv + inv.T)
+    """Inverse of an SPD matrix or of each in a (..., n, n) stack, by the LAPACK
+    Cholesky calls of scipy's cho_factor/cho_solve; checks and bits per matrix."""
+    a = _as_spd_input(m, "spd_inverse", stack=True)
+    eye = np.eye(a.shape[-1])
+    inv = np.empty_like(a)
+    flat = inv.reshape(-1, *eye.shape)
+    for i, matrix in enumerate(a.reshape(flat.shape)):
+        factor, info = dpotrf(matrix, lower=1, clean=0)
+        if info:
+            raise FactorizationError(f"spd_inverse: stacked matrix {i} is not positive definite")
+        flat[i] = dpotrs(factor, eye, lower=1)[0]
+    return 0.5 * (inv + inv.swapaxes(-1, -2))

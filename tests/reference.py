@@ -14,7 +14,8 @@ method states it:
 - the harness's pairwise diversity, one pair at a time.
 
 The DPP kernel is joint over the batch, so its feature gradient is the
-same dense matrix algebra as the library's; around it, features and
+same dense matrix algebra as the library's, one batch at a time, with
+its inverses from scipy's cho_factor/cho_solve; around it, features and
 backprop are the per-row reference. The library computes all of this
 batched, and the property tests hold it to this module bit for bit.
 """
@@ -24,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from divdiff import linalg
 from divdiff.odd import anneal_alpha
 from divdiff.state import MaskState
 from divdiff.streams import sample_stream
@@ -159,6 +160,14 @@ def odd_upstream(features, qualities, tolerance: float):
     return upstream, basis
 
 
+def spd_inverse(m):
+    """Inverse of a symmetric positive definite matrix by Cholesky, input
+    and result symmetrized (the library's rounding convention)."""
+    a = 0.5 * (m + m.T)
+    inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), np.eye(a.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
 def dpp_upstream(features, qualities, eps: float):
     """Gradient of -log det(L + eps I) / det(L + (1 + eps) I) with respect to
     the features, qualities held constant."""
@@ -167,8 +176,7 @@ def dpp_upstream(features, qualities, eps: float):
     weights = np.outer(qualities, qualities)
     kernel = (normed @ normed.T) * weights
     eye = np.eye(kernel.shape[0])
-    grad_kernel = -(linalg.spd_inverse(kernel + eps * eye)
-                    - linalg.spd_inverse(kernel + (1.0 + eps) * eye))
+    grad_kernel = -(spd_inverse(kernel + eps * eye) - spd_inverse(kernel + (1.0 + eps) * eye))
     grad_normed = 2.0 * (grad_kernel * weights) @ normed
     radial = np.sum(grad_normed * normed, axis=1, keepdims=True)
     return (grad_normed - radial * normed) / norms[:, None]

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_state
+from divdiff import linalg
 from divdiff.dpp import build_l_ensemble, dpp_grad_logits, dpp_loss, dpp_step
-from divdiff.errors import DegenerateInputError, InvalidInputError
+from divdiff.errors import DegenerateInputError, InvalidInputError, NumericalError
 from divdiff.features import FeatureSet, feature_set
 from divdiff.gradcheck import fd_dpp_gradient, has_pool_tie, relative_error, run_dpp_suite
 from divdiff.models import PlantedDenoiser, default_problem
@@ -213,3 +214,52 @@ class TestDppStepGroups:
         with pytest.raises(InvalidInputError, match="groups"):
             dpp_grad_logits(logits, state, 1e-3, None, 1.0, groups=groups)
 
+
+class TestDppStackRetry:
+    """A failed factorization in a stack of 3 groups: the failing group retries
+    alone with extra jitter; the others keep the bits of their lone steps."""
+
+    config = GenerationConfig(alpha=3.0, anneal="off")
+
+    def setup_method(self):
+        self.logits, self.state = guided_instance(33, batch=12, length=3, vocab=6)
+        self.parts = [(self.logits[i:i + 4], MaskState(self.state.masked[i:i + 4],
+                                                       self.state.realized[i:i + 4], 6))
+                      for i in (0, 4, 8)]
+        # the symmetrized L + eps I of group 2, as spd_inverse hands it to LAPACK
+        kernel = build_l_ensemble(feature_set(*self.parts[1])[0]) + self.config.jitter * np.eye(4)
+        self.target = 0.5 * (kernel + kernel.T)
+
+    def fail_potrf(self, monkeypatch, fails):
+        """LAPACK reports a matrix as not positive definite when fails(its
+        largest distance from group 2's L + eps I) holds."""
+        real, seen = linalg.dpotrf, []
+
+        def potrf(a, **kwargs):
+            if fails(np.abs(a - self.target).max()):
+                seen.append(a.copy())
+                return a, 1
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(linalg, "dpotrf", potrf)
+        return seen
+
+    def solo(self, g):
+        return dpp_step(*self.parts[g], self.config, t=4)
+
+    def test_failing_group_retries_alone(self, monkeypatch):
+        clean = [self.solo(g) for g in range(3)]
+        seen = self.fail_potrf(monkeypatch, lambda gap: gap == 0.0)
+        stacked = dpp_step(self.logits, self.state, self.config, t=4, groups=3)
+        assert len(seen) == 2  # once in the stack, once alone; the retry factors
+        np.testing.assert_array_equal(stacked[0:4], clean[0])
+        np.testing.assert_array_equal(stacked[8:12], clean[2])
+        seen.clear()  # group 2's own step fails the same way: one stack of 2, then alone
+        np.testing.assert_array_equal(stacked[4:8], self.solo(1))
+        assert len(seen) == 2 and not np.array_equal(stacked[4:8], clean[1])
+
+    def test_second_failure_raises(self, monkeypatch):
+        seen = self.fail_potrf(monkeypatch, lambda gap: gap <= 20 * self.config.jitter)
+        with pytest.raises(NumericalError, match="jitter retry"):
+            dpp_step(self.logits, self.state, self.config, t=4, groups=3)
+        assert len(seen) == 3  # in the stack, alone, and its jitter retry

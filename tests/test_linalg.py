@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from divdiff.errors import FactorizationError, InvalidInputError
 from divdiff.linalg import cholesky_logdet, softmax_rows, softmax_vjp, spd_inverse
@@ -162,3 +163,59 @@ class TestSpdInverse:
             a = random_spd(gen, n, cond=1e6)
             err = np.abs(a @ spd_inverse(a) - np.eye(n)).max()
             assert err <= 1e-8
+
+
+def random_stack(gen, k, n):
+    """k symmetrized random SPD matrices of shape (n, n), as one (k, n, n) array."""
+    a = np.stack([random_spd(gen, n, cond=1e4) for _ in range(k)])
+    return 0.5 * (a + a.swapaxes(1, 2))
+
+
+class TestSpdInverseStack:
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 3), (5, 16), (3, 32)])
+    def test_each_matrix_as_alone(self, k, n):
+        gen = np.random.default_rng(100 * k + n)
+        stack = random_stack(gen, k, n)
+        stack[-1] = stack[0]  # an exact repeat inside the stack
+        got = spd_inverse(stack)
+        assert got.shape == stack.shape
+        for matrix, inverse in zip(stack, got):
+            np.testing.assert_array_equal(inverse, spd_inverse(matrix))
+            inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(matrix, lower=True), np.eye(n))
+            np.testing.assert_array_equal(inverse, 0.5 * (inv + inv.T))
+
+    def test_nested_stack(self):
+        stack = random_stack(np.random.default_rng(5), 6, 4)
+        np.testing.assert_array_equal(spd_inverse(stack.reshape(2, 3, 4, 4)),
+                                      spd_inverse(stack).reshape(2, 3, 4, 4))
+
+    @pytest.mark.parametrize("bad, error", [
+        ([[1.0, 0.5], [0.1, 1.0]], InvalidInputError),  # asymmetric
+        ([[1.0, np.nan], [np.nan, 1.0]], InvalidInputError),
+        ([[1.0, 2.0], [2.0, 1.0]], FactorizationError),  # indefinite
+    ])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_one_bad_matrix_fails_the_stack_as_alone(self, bad, error, where):
+        with pytest.raises(error):
+            spd_inverse(bad)
+        stack = random_stack(np.random.default_rng(9), 3, 2)
+        stack[where] = bad
+        with pytest.raises(error):
+            spd_inverse(stack)
+
+    def test_symmetry_tolerance_is_per_matrix(self):
+        # asymmetry of 1e-8 fails a unit-scale matrix even next to a 1e4-scale one
+        stack = np.stack([1e4 * np.eye(2), np.eye(2)])
+        stack[1, 0, 1] += 1e-8
+        for m in (stack, stack[1]):
+            with pytest.raises(InvalidInputError, match="symmetric"):
+                spd_inverse(m)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (3,), (2, 3, 4)])
+    def test_empty_flat_or_non_square_rejected(self, shape):
+        with pytest.raises(InvalidInputError):
+            spd_inverse(np.ones(shape))
+
+    def test_logdet_takes_no_stack(self):
+        with pytest.raises(InvalidInputError):
+            cholesky_logdet(np.stack([np.eye(2)] * 2))

@@ -121,14 +121,22 @@ def test_odd_losses_basis_matches_reference(case):
 
 
 @PROPERTY
-@given(step_cases())
-def test_dpp_step_matches_reference(case):
+@given(step_cases(), st.integers(1, 3))
+def test_dpp_step_matches_reference(case, groups):
+    # group g is the drawn batch rolled by g samples, logits scaled by 1 + g/2
     logits, state, schedule, t, _, alpha, top_k = case
+    parts = [(np.roll(logits, g, axis=0) * (1.0 + 0.5 * g),
+              MaskState(np.roll(state.masked, g, axis=0), np.roll(state.realized, g, axis=0),
+                        state.vocab, state.prompt_len)) for g in range(groups)]
+    stacked = MaskState(np.concatenate([p.masked for _, p in parts]),
+                        np.concatenate([p.realized for _, p in parts]),
+                        state.vocab, state.prompt_len)
     config = GenerationConfig(alpha=alpha, steps=schedule.steps, feature_top_k=top_k)
-    got = dpp_step(logits, state, config, schedule.steps - t)
-    want = reference.guided_step(logits, state, "dpp", alpha, schedule.steps - t,
-                                 schedule.steps, top_k=top_k)
-    np.testing.assert_array_equal(got, want)
+    got = dpp_step(np.concatenate([x for x, _ in parts]), stacked, config,
+                   schedule.steps - t, groups=groups)
+    want = [reference.guided_step(x, part, "dpp", alpha, schedule.steps - t, schedule.steps,
+                                  top_k=top_k) for x, part in parts]
+    np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 @PROPERTY

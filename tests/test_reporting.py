@@ -76,6 +76,17 @@ def test_malformed_report_skipped_with_warning(grid_outputs, tmp_path):
     ("failed", "false"),  # bool("false") is True: a good run loaded as failed
     ("outputs", [[1.9, "2"]] * 4),  # int() made these [1, 2]
     ("outputs", [[True, 2]] * 4),
+    ("seed", 2.9),  # int() made these 2 and 1: a run merged into another seed's cell
+    ("seed", True),
+    ("problem", "4"),
+    ("theta", "nan"),  # float() made these a NaN-theta row and an infinite alpha
+    ("theta", float("nan")),
+    ("alpha", "1e999"),
+    ("alpha", float("inf")),
+    ("guidance_seconds", False),
+    ("total_seconds", "0.5"),
+    ("guidance", 7),  # str() made this "7"
+    ("guidance", "ddp"),
 ])
 def test_report_with_mistyped_list_skipped_with_warning(grid_outputs, tmp_path, key, value):
     reports, _ = grid_outputs
