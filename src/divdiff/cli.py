@@ -194,10 +194,7 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DivDiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DivDiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -50,14 +50,12 @@ def load_config(path) -> dict:
         raise InvalidInputError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError("config root must be a JSON object")
-    if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise InvalidInputError(
-            f"config schema {doc.get('schema')!r} not supported (expected {SCHEMA_VERSION})"
+            f"config schema {schema!r} not supported (expected {SCHEMA_VERSION})"
         )
-    merged = dict(DEFAULTS)
-    merged.update(doc)
-    merged["schema"] = SCHEMA_VERSION
-    return merged
+    return {**DEFAULTS, **doc, "schema": SCHEMA_VERSION}
 
 
 def apply_overrides(doc: dict, assignments) -> dict:

@@ -38,32 +38,35 @@ def build_l_ensemble(fs: FeatureSet) -> np.ndarray:
 
 
 def _with_retry(factorize, m: np.ndarray, eps: float):
-    """factorize(m), with one bounded recovery attempt: add 10*eps of extra
-    jitter, then give up with a NumericalError."""
+    """factorize(m) of a matrix or a (..., n, n) stack. When a stack fails,
+    each matrix retries alone, so only a failing matrix gets the one bounded
+    recovery attempt: 10*eps of extra jitter, then a NumericalError."""
     try:
         return factorize(m)
     except FactorizationError:
-        pass
+        if m.ndim > 2:
+            return np.stack([_with_retry(factorize, one, eps) for one in m])
     try:
-        return factorize(m + 10.0 * eps * np.eye(m.shape[0]))
+        return factorize(m + 10.0 * eps * np.eye(m.shape[-1]))
     except FactorizationError as exc:
         raise NumericalError(f"factorization failed after jitter retry: {exc}") from exc
 
 
-def dpp_loss(l_matrix, eps: float) -> float:
-    """Negative log-likelihood of batch diversity under the L-ensemble.
+def dpp_loss(l_matrix, eps: float):
+    """Negative log-likelihood of batch diversity under the L-ensemble: a
+    float for one kernel, an array for a (..., B, B) stack of kernels.
 
     Lower loss means a larger volume spanned by the batch features.
     """
     a = np.asarray(l_matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError("dpp_loss: expected a square kernel matrix")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInputError("dpp_loss: expected a square kernel matrix or a stack of them")
     if eps <= 0:
         raise InvalidInputError("dpp_loss: eps must be > 0")
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     first = _with_retry(linalg.cholesky_logdet, a + eps * eye, eps)
     second = _with_retry(linalg.cholesky_logdet, a + (1.0 + eps) * eye, eps)
-    return float(-(first - second))
+    return -(first - second)
 
 
 def _stacked_feature_grad(fs: FeatureSet, groups: int, eps: float) -> np.ndarray:
@@ -73,10 +76,7 @@ def _stacked_feature_grad(fs: FeatureSet, groups: int, eps: float) -> np.ndarray
     l_matrix, normed, norms, weights = _kernels(fs.features.reshape(groups, b, -1),
                                                 fs.qualities.reshape(groups, b))
     jittered = np.concatenate([l_matrix + eps * np.eye(b), l_matrix + (1.0 + eps) * np.eye(b)])
-    try:
-        inv = linalg.spd_inverse(jittered)
-    except FactorizationError:  # each matrix alone: only a failing one retries
-        inv = np.stack([_with_retry(linalg.spd_inverse, m, eps) for m in jittered])
+    inv = _with_retry(linalg.spd_inverse, jittered, eps)
     grad_normed = 2.0 * (-(inv[:groups] - inv[groups:]) * weights) @ normed
     radial = np.sum(grad_normed * normed, axis=-1, keepdims=True)
     return ((grad_normed - radial * normed) / norms[..., None]).reshape(groups * b, -1)

@@ -135,18 +135,6 @@ def group_rows(batch: int, groups: int, caller: str) -> int:
     return batch // groups
 
 
-def per_group(fn, fs: FeatureSet, groups: int) -> np.ndarray:
-    """fn(feature set of one batch) for each of `groups` equal batches stacked
-    in fs, concatenated in order; one group passes fs itself."""
-    if groups == 1:
-        return fn(fs)
-    b = fs.features.shape[0] // groups
-    return np.concatenate([
-        fn(FeatureSet(fs.features[i:i + b], fs.routing[i:i + b], fs.qualities[i:i + b]))
-        for i in range(0, groups * b, b)
-    ])
-
-
 def backprop_to_logits(upstream, fs: FeatureSet, ud: UnifiedDistribution,
                        logits, step: float) -> np.ndarray:
     """Descent step logits - step * gradient for per-sample feature gradients.

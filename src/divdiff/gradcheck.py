@@ -3,13 +3,14 @@
 The guidance only ever applies its gradients as a descent step, so every
 analytic gradient is read off that step at step size 1: logits minus the
 stepped logits. The oracles only ever evaluate forward passes: feature
-extraction, the orthogonal-residual objective with its projection
-targets and quality weights frozen at the base point (they are constants
-under the published stop-gradient semantics), and the joint
-determinantal objective with quality frozen. Random instances carry an
-unmasked prompt of 0 to S-2 positions. Instances where a max-pool
-column has two positions within 1e-6 of the top value are excluded
-(subgradient ambiguity), as are near-zero residuals for the same reason.
+extraction, the orthogonal-residual objective with its projection targets and
+quality weights frozen at the base point (they are constants under the
+published stop-gradient semantics), and the joint determinantal objective with
+quality frozen. Each scores all 2n perturbed copies of n logits as stacks of
+bounded size, and each copy's value has the bits of its lone forward pass.
+Random instances carry an unmasked prompt of 0 to S-2 positions. Instances
+where a max-pool column has two positions within 1e-6 of the top value are
+excluded (subgradient ambiguity), as are near-zero residuals for the same reason.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import build_l_ensemble, dpp_loss, dpp_step
+from .dpp import _kernels, dpp_loss, dpp_step
 from .engine import GenerationConfig
 from .features import (
     FeatureSet,
@@ -34,6 +35,7 @@ MASKED_FRACTIONS = (0.25, 0.5, 1.0)
 DEFAULT_STEP = 1e-4
 DEFAULT_TOLERANCE = 1e-5
 _REL_FLOOR = 1e-6
+_BLOCK_ENTRIES = 1 << 17  # most logits entries (copies times copy size) scored at once
 
 
 @dataclass
@@ -86,31 +88,32 @@ def has_pool_tie(logits, state: MaskState, gap: float = 1e-6) -> bool:
 
 
 def _central_differences(objective, logits, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Central differences of the scalar objective(x) over every entry of
-    x, a copy of logits. Each entry is moved by +h and -h in turn, then
-    restored."""
-    x = np.array(logits, dtype=np.float64)
-    flat = x.reshape(-1)  # a view: x is a fresh C-ordered copy
-    grad = np.zeros(flat.size)
-    for idx in range(flat.size):
-        orig = flat[idx]
-        flat[idx] = orig + h
-        fp = objective(x)
-        flat[idx] = orig - h
-        fm = objective(x)
-        flat[idx] = orig
-        grad[idx] = (fp - fm) / (2.0 * h)
-    return grad.reshape(x.shape)
+    """Central differences over every entry k of logits: copies 2k and 2k + 1
+    move it by +h and -h, and objective scores an (N, *logits.shape) stack
+    of copies as N values, _BLOCK_ENTRIES logits entries (or one copy) at most."""
+    x = np.asarray(logits, dtype=np.float64)
+    values = np.empty(2 * x.size)
+    per_block = max(1, _BLOCK_ENTRIES // x.size)
+    for start in range(0, values.size, per_block):
+        copy = np.arange(start, min(start + per_block, values.size))
+        copies = np.tile(x.ravel(), (copy.size, 1))
+        copies[np.arange(copy.size), copy // 2] += np.where(copy % 2, -h, h)
+        values[copy] = objective(copies.reshape(copy.size, *x.shape))
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(x.shape)
 
 
 def _features(x, state: MaskState) -> np.ndarray:
-    return extract_features(unified_distribution(x, state)).features
+    """(N, B, V) features of an (N, B, S, V) stack of logits for one state."""
+    tiled = MaskState(np.tile(state.masked, (len(x), 1)), np.tile(state.realized, (len(x), 1)),
+                      state.vocab, prompt_len=state.prompt_len)
+    fs = extract_features(unified_distribution(x.reshape(-1, *x.shape[2:]), tiled))
+    return fs.features.reshape(x.shape[:2] + (state.vocab,))
 
 
 def fd_feature_gradient(logits, state: MaskState, upstream, h: float = DEFAULT_STEP):
     """FD gradient of sum_i upstream_i . features_i(logits)."""
     u = np.asarray(upstream, dtype=np.float64)
-    return _central_differences(lambda x: float(np.sum(u * _features(x, state))), logits, h)
+    return _central_differences(lambda x: np.sum(u * _features(x, state), axis=(1, 2)), logits, h)
 
 
 def frozen_odd_targets(fs0: FeatureSet, tolerance: float):
@@ -136,8 +139,9 @@ def fd_odd_gradient(logits, state: MaskState, tolerance: float,
     targets = np.asarray(frozen_odd_targets(fs0, tolerance)).reshape(-1, state.vocab)
 
     def objective(x):
-        residuals = _features(x, state)[1:] - targets
-        return float(-np.dot(q0, np.linalg.norm(residuals, axis=1)))
+        norms = np.linalg.norm(_features(x, state)[:, 1:] - targets, axis=-1)
+        # one dot per copy: a matrix product would round the copies differently
+        return [-np.dot(q0, row) for row in norms]
 
     return _central_differences(objective, logits, h)
 
@@ -149,7 +153,7 @@ def fd_dpp_gradient(logits, state: MaskState, eps: float,
     q0 = fs0.qualities.copy()
 
     def objective(x):
-        return dpp_loss(build_l_ensemble(FeatureSet(_features(x, state), fs0.routing, q0)), eps)
+        return dpp_loss(_kernels(_features(x, state), np.broadcast_to(q0, x.shape[:2]))[0], eps)
 
     return _central_differences(objective, logits, h)
 

@@ -10,7 +10,6 @@ batch; aggregation is a single sorted reduction over reports.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -18,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .engine import GUIDANCE_KINDS, GenerationConfig, GenerationRun, run_generation
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_fields
 from .models import PlantedDenoiser, PlantedTask, check_answer
 
 @dataclass
@@ -47,50 +46,33 @@ class RunReport:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunReport":
-        if not isinstance(doc, dict) or doc.get("schema") != 1:
+        """The report of a JSON document, cast nowhere (see _REPORT_FIELDS)."""
+        if not isinstance(doc, dict) or type(doc.get("schema")) is not int or doc["schema"] != 1:
             raise InvalidInputError("RunReport: unsupported document schema")
-        try:
-            correct, steps = doc["correct"], doc.get("per_step_guidance_seconds", [])
-            if not (isinstance(correct, list) and all(isinstance(c, bool) for c in correct)):
-                raise TypeError("correct must be a list of booleans")
-            if not (isinstance(steps, list) and all(
-                    isinstance(s, (int, float)) and not isinstance(s, bool) for s in steps)):
-                raise TypeError("per_step_guidance_seconds must be a list of numbers")
-            outputs, failed = doc["outputs"], doc.get("failed", False)
-            if not (isinstance(failed, bool) and isinstance(outputs, list) and all(
-                    isinstance(o, list) and all(type(t) is int for t in o) for o in outputs)):
-                raise TypeError("failed must be a boolean and outputs lists of integers")
-            numbers = {k: doc[k] for k in ("problem", "seed", "theta", "alpha")}
-            numbers.update((k, doc.get(k, 0.0)) for k in ("guidance_seconds", "total_seconds"))
-            for key, value in numbers.items():
-                kind = "integer" if key in ("problem", "seed") else "finite number"
-                if type(value) not in ((int,) if kind == "integer" else (int, float)) or (
-                        type(value) is float and not math.isfinite(value)):
-                    raise TypeError(f"{key} must be a JSON {kind}")
-            if doc["guidance"] not in GUIDANCE_KINDS:
-                raise ValueError(f"guidance must be one of {', '.join(GUIDANCE_KINDS)}")
-            report = cls(
-                problem=numbers["problem"],
-                guidance=doc["guidance"],
-                theta=float(numbers["theta"]),
-                alpha=float(numbers["alpha"]),
-                seed=numbers["seed"],
-                outputs=[list(out) for out in outputs],
-                correct=list(correct),
-                guidance_seconds=float(numbers["guidance_seconds"]),
-                total_seconds=float(numbers["total_seconds"]),
-                per_step_guidance_seconds=list(steps),
-                failed=failed,
-                error=str(doc.get("error", "")),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        fields = json_fields("RunReport", doc, _REPORT_FIELDS, {
+            "guidance_seconds": 0.0, "total_seconds": 0.0, "per_step_guidance_seconds": [],
+            "failed": False, "error": ""})
+        if fields["guidance"] not in GUIDANCE_KINDS:
             raise InvalidInputError(
-                f"RunReport: malformed document ({type(exc).__name__}: {exc})"
-            ) from exc
+                f"RunReport: guidance must be one of {', '.join(GUIDANCE_KINDS)}")
         # an ungraded run (no answer checker) carries no flags at all
-        if report.correct and len(report.correct) != len(report.outputs):
+        if fields["correct"] and len(fields["correct"]) != len(fields["outputs"]):
             raise InvalidInputError("RunReport: flags and outputs disagree in length")
-        return report
+        for key in ("theta", "alpha", "guidance_seconds", "total_seconds"):
+            fields[key] = float(fields[key])
+        return cls(**fields)
+
+
+_REPORT_FIELDS = {
+    **dict.fromkeys(("problem", "seed"), ((int,), 0, "a JSON integer")),
+    **dict.fromkeys(("theta", "alpha", "guidance_seconds", "total_seconds"),
+                    ((int, float), 0, "a finite JSON number")),
+    **dict.fromkeys(("guidance", "error"), ((str,), 0, "a string")),
+    "failed": ((bool,), 0, "a boolean"),
+    "correct": ((bool,), 1, "a list of booleans"),
+    "outputs": ((int,), 2, "a list of lists of JSON integers"),
+    "per_step_guidance_seconds": ((int, float), 1, "a list of finite JSON numbers"),
+}
 
 
 @dataclass

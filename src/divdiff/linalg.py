@@ -2,7 +2,7 @@
 
 Everything operates on float64 numpy arrays: stable row softmax, the
 softmax vector-Jacobian product used for analytic backprop, and SPD
-helpers (log-determinant, and inverse of a matrix or a stack, via Cholesky).
+helpers (log-determinant and inverse of a matrix or a stack, via Cholesky).
 Inputs are validated against the documented preconditions; callers are
 expected to hold the returned arrays immutable.
 """
@@ -67,9 +67,9 @@ def softmax_vjp(probs, upstream, out=None) -> np.ndarray:
     return grad
 
 
-def _as_spd_input(m, name: str, stack: bool = False) -> np.ndarray:
+def _as_spd_input(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
-    if not (a.ndim == 2 or stack and a.ndim > 2) or a.shape[-1] != a.shape[-2] or a.size == 0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise InvalidInputError(f"{name}: expected a non-empty square matrix")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name}: non-finite entries")
@@ -81,10 +81,11 @@ def _as_spd_input(m, name: str, stack: bool = False) -> np.ndarray:
     return 0.5 * (a + at)
 
 
-def cholesky_logdet(m) -> float:
-    """Log-determinant of a symmetric positive definite matrix.
+def cholesky_logdet(m):
+    """Log-determinant of an SPD matrix (a float) or of each in a (..., n, n)
+    stack (an array), bit for bit as alone.
 
-    Uses a triangular factorization; raises FactorizationError when the
+    Uses a triangular factorization; raises FactorizationError when some
     matrix is not positive definite (callers may add jitter and retry).
     """
     a = _as_spd_input(m, "cholesky_logdet")
@@ -92,13 +93,14 @@ def cholesky_logdet(m) -> float:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"cholesky_logdet: {exc}") from exc
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return float(logdet) if a.ndim == 2 else logdet
 
 
 def spd_inverse(m) -> np.ndarray:
     """Inverse of an SPD matrix or of each in a (..., n, n) stack, by the LAPACK
     Cholesky calls of scipy's cho_factor/cho_solve; checks and bits per matrix."""
-    a = _as_spd_input(m, "spd_inverse", stack=True)
+    a = _as_spd_input(m, "spd_inverse")
     eye = np.eye(a.shape[-1])
     inv = np.empty_like(a)
     flat = inv.reshape(-1, *eye.shape)

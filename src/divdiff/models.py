@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_fields
 from .state import MaskState
 
 DEFAULT_VOCAB = 48
@@ -77,17 +77,21 @@ class PlantedTask:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PlantedTask":
+        """The task of a JSON document, cast nowhere (see _TASK_FIELDS)."""
+        fields = json_fields("PlantedTask", doc, _TASK_FIELDS,
+                             {"skew": DEFAULT_SKEW, "noise_floor": DEFAULT_NOISE_FLOOR})
         try:
-            return cls(
-                vocab=int(doc["vocab"]),
-                length=int(doc["length"]),
-                templates=np.asarray(doc["templates"], dtype=np.int64),
-                correct=frozenset(int(c) for c in doc["correct"]),
-                skew=float(doc.get("skew", DEFAULT_SKEW)),
-                noise_floor=float(doc.get("noise_floor", DEFAULT_NOISE_FLOOR)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**fields)
+        except (OverflowError, ValueError) as exc:  # ragged or out-of-range templates
             raise InvalidInputError(f"PlantedTask: bad task document ({exc})") from exc
+
+
+_TASK_FIELDS = {
+    **dict.fromkeys(("vocab", "length"), ((int,), 0, "a JSON integer")),
+    "templates": ((int,), 2, "a list of lists of JSON integers"),
+    "correct": ((int,), 1, "a list of JSON integers"),
+    **dict.fromkeys(("skew", "noise_floor"), ((int, float), 0, "a finite JSON number")),
+}
 
 
 def _greedy_survivor(minority: np.ndarray, token_pairs: np.ndarray) -> int:

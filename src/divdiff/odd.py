@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import GenerationConfig
 from .errors import DegenerateInputError, InvalidInputError
-from .features import FeatureSet, backprop_to_logits, feature_set, group_rows, per_group
+from .features import FeatureSet, backprop_to_logits, feature_set, group_rows
 from .state import MaskState
 
 
@@ -125,7 +125,11 @@ def odd_step(logits, state: MaskState, config: GenerationConfig, t: int,
     if alpha_t == 0.0 or batch == 1:
         return x.copy()
     fs, ud = feature_set(x, state, top_k=config.feature_top_k)
-    upstream = per_group(lambda group: odd_losses(group, config.tolerance)[0], fs, groups)
+    upstream = np.concatenate([
+        odd_losses(FeatureSet(fs.features[i:i + batch], fs.routing[i:i + batch],
+                              fs.qualities[i:i + batch]), config.tolerance)[0]
+        for i in range(0, x.shape[0], batch)
+    ])
     if not upstream.any():  # the backprop would subtract +0.0 everywhere
         return x.copy()
     return backprop_to_logits(upstream, fs, ud, logits=x, step=alpha_t)

@@ -11,7 +11,9 @@ method states it:
 - the softmax vector-Jacobian product of one row at a time;
 - a sampler that draws from one sample_stream per (sample, step);
 - the bigram denoiser's prediction, one sample and one position at a time;
-- the harness's pairwise diversity, one pair at a time.
+- the harness's pairwise diversity, one pair at a time;
+- the gradient checks' central differences, one logits entry and two
+  lone forward passes at a time.
 
 The DPP kernel is joint over the batch, so its feature gradient is the
 same dense matrix algebra as the library's, one batch at a time, with
@@ -27,6 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from divdiff.dpp import build_l_ensemble, dpp_loss
+from divdiff.features import FeatureSet, extract_features, feature_set
+from divdiff.features import unified_distribution as library_unified_distribution
+from divdiff.gradcheck import frozen_odd_targets
 from divdiff.odd import anneal_alpha
 from divdiff.state import MaskState
 from divdiff.streams import sample_stream
@@ -285,3 +291,58 @@ def pairwise_diversity(items) -> float:
             total += min(2.0, max(0.0, term))
             pairs += 1
     return total / pairs
+
+
+# ---- central differences, one entry at a time -----------------------------
+
+def central_differences(objective, logits, h: float) -> np.ndarray:
+    """Central differences of the scalar objective(x) over every entry of
+    x, a copy of logits. Each entry is moved by +h and -h in turn, then
+    restored."""
+    x = np.array(logits, dtype=np.float64)
+    flat = x.reshape(-1)  # a view: x is a fresh C-ordered copy
+    grad = np.zeros(flat.size)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + h
+        fp = objective(x)
+        flat[idx] = orig - h
+        fm = objective(x)
+        flat[idx] = orig
+        grad[idx] = (fp - fm) / (2.0 * h)
+    return grad.reshape(x.shape)
+
+
+def lone_features(x, state: MaskState) -> np.ndarray:
+    return extract_features(library_unified_distribution(x, state)).features
+
+
+def fd_feature_gradient(logits, state: MaskState, upstream, h: float) -> np.ndarray:
+    """gradcheck.fd_feature_gradient, one lone forward pass per value."""
+    u = np.asarray(upstream, dtype=np.float64)
+    return central_differences(lambda x: float(np.sum(u * lone_features(x, state))), logits, h)
+
+
+def fd_odd_gradient(logits, state: MaskState, tolerance: float, h: float) -> np.ndarray:
+    """gradcheck.fd_odd_gradient, one lone forward pass per value."""
+    fs0, _ = feature_set(logits, state)
+    q0 = fs0.qualities[1:].copy()
+    targets = np.asarray(frozen_odd_targets(fs0, tolerance)).reshape(-1, state.vocab)
+
+    def objective(x):
+        residuals = lone_features(x, state)[1:] - targets
+        return float(-np.dot(q0, np.linalg.norm(residuals, axis=1)))
+
+    return central_differences(objective, logits, h)
+
+
+def fd_dpp_gradient(logits, state: MaskState, eps: float, h: float) -> np.ndarray:
+    """gradcheck.fd_dpp_gradient, one lone forward pass per value."""
+    fs0, _ = feature_set(logits, state)
+    q0 = fs0.qualities.copy()
+
+    def objective(x):
+        return dpp_loss(build_l_ensemble(FeatureSet(lone_features(x, state), fs0.routing, q0)),
+                        eps)
+
+    return central_differences(objective, logits, h)

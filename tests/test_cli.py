@@ -107,9 +107,11 @@ class TestGenerate:
 class TestGradcheck:
     def test_fresh_checkout_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("worst rel err") == 3
-        assert "tolerance 1e-05" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "feature-backprop: 120 instances, worst rel err 1.239e-09 (tolerance 1e-05) ok",
+            "orthogonal-residual: 120 instances, worst rel err 1.922e-06 (tolerance 1e-05) ok",
+            "determinantal: 120 instances, worst rel err 1.076e-07 (tolerance 1e-05) ok",
+        ]
 
     def test_injected_sign_flip_detected(self, capsys, monkeypatch):
         true_vjp = linalg.softmax_vjp
@@ -238,6 +240,21 @@ class TestConfigCasts:
                               model={"kind": kind, "vocab": 5, key: value})
         assert cli.main(["generate", "--config", str(config)]) == 2
         assert f"error: model.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["task", "task_path"])
+    def test_mistyped_task_field_exits_2(self, tmp_path, capsys, source):
+        task = dict(default_task(0).to_json(), skew="0.85")
+        (tmp_path / "task.json").write_text(json.dumps(task))
+        config = write_config(tmp_path / "c.json", model={
+            "kind": "planted", source: task if source == "task" else "task.json"})
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert "error: PlantedTask: skew must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schema", [True, 1.0, 2, "1"])
+    def test_config_schema_not_the_integer_1_exits_2(self, tmp_path, capsys, schema):
+        config = write_config(tmp_path / "c.json", schema=schema)
+        assert cli.main(["generate", "--config", str(config)]) == 2
+        assert "error: config schema" in capsys.readouterr().err
 
     def test_task_file_that_is_not_json_exits_2(self, tmp_path, capsys):
         (tmp_path / "task.json").write_text("{not json")

@@ -1,9 +1,9 @@
 """The quick demos and README's library tour run end to end against the
 library in src/.
 
-Demos 04 (which writes ./demo_results) and 06 take several seconds each
-and are left out to keep the suite fast; run them by hand after changing
-a public name.
+Demo 04 writes ./demo_results, inside the test's temporary directory.
+Demo 06 takes several seconds and is left out to keep the suite fast; run
+it by hand after changing a public name.
 """
 
 import os
@@ -26,7 +26,7 @@ def run_python(args, cwd):
 
 @pytest.mark.parametrize("demo", [
     "01_generation_basics.py", "02_orthogonal_guidance.py", "03_dpp_baseline.py",
-    "05_trace_replay.py",
+    "04_benchmark_grid.py", "05_trace_replay.py",
 ])
 def test_demo_exits_0(tmp_path, demo):
     proc = run_python([str(ROOT / "demos" / demo)], tmp_path)

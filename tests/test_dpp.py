@@ -81,8 +81,33 @@ class TestDppLoss:
         assert np.all(np.diff(losses) > 0)
 
     def test_rejects_non_square(self):
-        with pytest.raises(InvalidInputError):
-            dpp_loss(np.ones((2, 3)), 1e-3)
+        for shape in [(2, 3), (4, 2, 3), (3,)]:
+            with pytest.raises(InvalidInputError):
+                dpp_loss(np.ones(shape), 1e-3)
+
+    def test_stack_retries_only_its_failing_kernel(self, monkeypatch):
+        eps = 1e-3
+        gen = np.random.default_rng(4)
+        good = [build_l_ensemble(features_only(gen.normal(size=(3, 5)))) for _ in range(2)]
+        # L + eps I has the eigenvalue -eps / 2; 10 eps of extra jitter factor it
+        bad = np.diag([1.0, 0.5, -1.5 * eps])
+        stack = np.stack([good[0], bad, good[1]])
+        real, calls = linalg.cholesky_logdet, []
+        monkeypatch.setattr(linalg, "cholesky_logdet",
+                            lambda m: calls.append(np.shape(m)) or real(m))
+        losses = dpp_loss(stack, eps)
+        # L + eps I: the stack fails, each kernel retries alone, the bad one once
+        # more with jitter; L + (1 + eps) I: the stack factors
+        assert calls == [(3, 3, 3)] + [(3, 3)] * 4 + [(3, 3, 3)]
+        assert isinstance(losses, np.ndarray) and losses.shape == (3,)
+        for kernel, loss in zip(stack, losses):
+            assert loss == dpp_loss(kernel, eps)  # bit for bit
+        eye = np.eye(3)
+        assert losses[1] == -(real(bad + eps * eye + 10.0 * eps * eye)
+                              - real(bad + (1.0 + eps) * eye))
+        hopeless = np.stack([good[0], np.diag([1.0, 0.5, -20 * eps])])
+        with pytest.raises(NumericalError, match="jitter retry"):
+            dpp_loss(hopeless, eps)
 
 
 def guided_instance(seed, batch=3, length=2, vocab=5):

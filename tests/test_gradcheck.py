@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import reference
+from divdiff import gradcheck
 from divdiff.dpp import dpp_step
 from divdiff.engine import GenerationConfig
 from divdiff.features import backprop_to_logits, feature_set, unified_distribution
@@ -106,3 +108,49 @@ def test_prompt_rows_get_zero_gradient(oracle):
     assert np.abs(numeric[:, plen:]).max() > 1e-6
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
+
+
+def fd_pair(oracle, logits, state, gen):
+    """(fd_* result, the reference's loop of lone passes) for one instance."""
+    h = 1e-4
+    if oracle == "feature":
+        upstream = gen.normal(size=(state.batch, state.vocab))
+        return (fd_feature_gradient(logits, state, upstream, h),
+                reference.fd_feature_gradient(logits, state, upstream, h))
+    if oracle == "odd":
+        return (fd_odd_gradient(logits, state, 1e-8, h),
+                reference.fd_odd_gradient(logits, state, 1e-8, h))
+    return fd_dpp_gradient(logits, state, 1e-3, h), reference.fd_dpp_gradient(logits, state, 1e-3, h)
+
+
+def tie_free_instances(gen, count, **kwargs):
+    while count:
+        logits, state = random_instance(gen, **kwargs)
+        if not has_pool_tie(logits, state):
+            count -= 1
+            yield logits, state
+
+
+@pytest.mark.parametrize("oracle", ["feature", "odd", "dpp"])
+def test_stacked_differences_equal_the_per_entry_loop(oracle):
+    gen = np.random.default_rng(40)
+    for logits, state in tie_free_instances(gen, 200, min_batch=2 if oracle == "odd" else 1):
+        numeric, loop = fd_pair(oracle, logits, state, gen)
+        np.testing.assert_array_equal(numeric, loop)
+
+
+@pytest.mark.parametrize("block", [1, 700])
+def test_blocks_of_any_size_keep_the_loop_bits(monkeypatch, block):
+    """Blocks of one copy each, and blocks that split the copies unevenly."""
+    gen = np.random.default_rng(41)
+    (logits, state), = tie_free_instances(gen, 1, min_batch=3, max_length=5, max_vocab=8)
+    monkeypatch.setattr(gradcheck, "_BLOCK_ENTRIES", block)
+    scored, features = [], gradcheck._features
+    monkeypatch.setattr(gradcheck, "_features",
+                        lambda x, s: scored.append(x.size) or features(x, s))
+    for oracle in ("feature", "odd", "dpp"):
+        numeric, loop = fd_pair(oracle, logits, state, gen)
+        np.testing.assert_array_equal(numeric, loop)
+    per_block = max(1, block // logits.size)
+    assert max(scored) == per_block * logits.size  # the bound, or one copy above it
+    assert len(scored) == 3 * -(-2 * logits.size // per_block)

@@ -216,6 +216,27 @@ class TestSpdInverseStack:
         with pytest.raises(InvalidInputError):
             spd_inverse(np.ones(shape))
 
-    def test_logdet_takes_no_stack(self):
-        with pytest.raises(InvalidInputError):
-            cholesky_logdet(np.stack([np.eye(2)] * 2))
+
+class TestCholeskyLogdetStack:
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 2), (3, 5), (4, 16), (3, 32)])
+    def test_each_logdet_as_alone(self, k, n):
+        gen = np.random.default_rng(200 * k + n)
+        stack = random_stack(gen, k, n)
+        stack[-1] = stack[0]  # an exact repeat inside the stack
+        got = cholesky_logdet(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (k,)
+        assert isinstance(cholesky_logdet(stack[0]), float)
+        for matrix, logdet in zip(stack, got):
+            assert logdet == cholesky_logdet(matrix)  # bit for bit
+        nested = cholesky_logdet(np.stack([stack, stack]))
+        np.testing.assert_array_equal(nested, [got, got])
+
+    @pytest.mark.parametrize("bad, error", [
+        ([[1.0, 0.5], [0.1, 1.0]], InvalidInputError),  # asymmetric
+        ([[1.0, 2.0], [2.0, 1.0]], FactorizationError),  # indefinite
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, bad, error):
+        stack = random_stack(np.random.default_rng(9), 3, 2)
+        stack[1] = bad
+        with pytest.raises(error):
+            cholesky_logdet(stack)

@@ -145,6 +145,36 @@ class TestTaskValidation:
         with pytest.raises(InvalidInputError):
             PlantedTask.from_json({"vocab": 4})
 
+    @pytest.mark.parametrize("key, value", [
+        ("vocab", 48.9),  # int() loaded these as 48 and 1
+        ("vocab", True),
+        ("length", "12"),
+        ("templates", "cast"),
+        ("templates", [[44.7] * 12] * 8),  # np.asarray(dtype=int64) loaded 44
+        ("templates", [[True] * 12] * 8),
+        ("correct", [True, 2.5]),  # int() loaded {1, 2}
+        ("correct", 2),
+        ("skew", "0.5"),  # float() loaded 0.5
+        ("skew", False),
+        ("skew", float("nan")),
+        ("noise_floor", None),
+        ("noise_floor", 10 ** 400),
+    ])
+    def test_mistyped_field_named(self, key, value):
+        doc = default_task(0).to_json()
+        doc[key] = value
+        with pytest.raises(InvalidInputError, match=f"PlantedTask: {key} must be"):
+            PlantedTask.from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"vocab": 4, "length": 2, "templates": [[0, 1], [2]], "correct": [1]},  # ragged
+        {"vocab": 4, "length": 2, "templates": [[0, 1], [2, 2 ** 70]], "correct": [1]},
+    ])
+    def test_malformed_document(self, doc):
+        with pytest.raises(InvalidInputError, match="PlantedTask"):
+            PlantedTask.from_json(doc)
+
 
 class TestDefaultTask:
     def test_rejects_negative_problem(self):

@@ -87,6 +87,10 @@ def test_malformed_report_skipped_with_warning(grid_outputs, tmp_path):
     ("total_seconds", "0.5"),
     ("guidance", 7),  # str() made this "7"
     ("guidance", "ddp"),
+    ("per_step_guidance_seconds", [float("nan"), float("-inf")]),  # loaded as [nan, -inf]
+    ("per_step_guidance_seconds", [0.5, True]),
+    ("schema", True),  # true == 1 and 1.0 == 1: both loaded as schema 1
+    ("schema", 1.0),
 ])
 def test_report_with_mistyped_list_skipped_with_warning(grid_outputs, tmp_path, key, value):
     reports, _ = grid_outputs
