@@ -16,7 +16,7 @@ from pathlib import Path
 from . import config as cfg
 from . import gradcheck, reporting
 from .engine import run_generation
-from .errors import DivDiffError, InvalidInputError
+from .errors import DivDiffError, InvalidInputError, json_value
 from .harness import build_report, grid_run, invariance_check, overhead_profile
 from .trace import ReplayDenoiser
 
@@ -67,8 +67,8 @@ def _inputs(args):
 
 def _cmd_generate(args) -> int:
     doc, model, task, prompt, config = _inputs(args)
+    problem = json_value("model.problem", doc["model"].get("problem", 0))
     run = run_generation(model, config, prompt=prompt)
-    problem = cfg._cast("model.problem", doc["model"].get("problem", 0), int)
     report = build_report(run, config, problem, task)
     for i, seq in enumerate(report.outputs):
         line = f"sample {i}: {' '.join(map(str, seq))}"
@@ -111,8 +111,7 @@ def _cmd_gradcheck(args) -> int:
     instances = 120
     if args.config:
         doc = _load(args)
-        instances = cfg._cast("gradcheck_instances",
-                              doc.get("gradcheck_instances", instances), int)
+        instances = json_value("gradcheck_instances", doc.get("gradcheck_instances", instances))
         if instances < 1:
             raise InvalidInputError("gradcheck_instances must be >= 1")
     results = gradcheck.run_all_suites(instances=instances)
@@ -132,7 +131,7 @@ def _cmd_invariance(args) -> int:
     section = doc.get("invariance", {})
     if not isinstance(section, dict):
         raise InvalidInputError(f"invariance must be an object, got {section!r}")
-    m, b1, b2 = (cfg._cast(f"invariance.{key}", section.get(key, default), int)
+    m, b1, b2 = (json_value(f"invariance.{key}", section.get(key, default))
                  for key, default in (("m", 8), ("b1", 8), ("b2", 16)))
     ok = invariance_check(model, config, m, b1, b2, prompt=prompt)
     print(f"guidance={config.guidance} m={m} b1={b1} b2={b2} prefix-invariant={ok}")

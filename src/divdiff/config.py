@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 
 from .engine import GenerationConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_value
 from .harness import GridSpec
 from .models import PlantedDenoiser, PlantedTask, bigram_train, default_prompt, default_task
 from .trace import trace_read
@@ -129,7 +129,7 @@ def build_model(doc: dict, base_dir=None):
         elif "task_path" in spec:
             task = PlantedTask.from_json(_model_file(root, spec, "task_path", _read_json))
         else:
-            problem = _cast("model.problem", spec.get("problem", 0), int)
+            problem = json_value("model.problem", spec.get("problem", 0))
             try:
                 task = default_task(problem)
             except InvalidInputError as exc:
@@ -142,11 +142,8 @@ def build_model(doc: dict, base_dir=None):
             corpus = _model_file(root, spec, "corpus_path", _read_json)
         if vocab is None or corpus is None:
             raise InvalidInputError("bigram model needs 'vocab' and 'corpus'")
-        if not isinstance(corpus, list) or not all(isinstance(seq, list) for seq in corpus):
-            raise InvalidInputError("model.corpus must be a list of token lists")
-        corpus = [[_cast("model.corpus", token, int) for token in seq] for seq in corpus]
-        vocab = _cast("model.vocab", vocab, int)
-        if vocab < 1:
+        json_value("model.corpus", corpus, "a list of lists of JSON integers", depth=2)
+        if json_value("model.vocab", vocab) < 1:
             raise InvalidInputError(f"model.vocab must be >= 1, got {vocab}")
         return bigram_train(corpus, vocab), None
     if kind == "trace":
@@ -163,93 +160,72 @@ def resolve_prompt(doc: dict, task=None):
         return None
     if spec == "default":
         return None if task is None else default_prompt(task)
-    if not isinstance(spec, list):
-        raise InvalidInputError(f'prompt must be a token list, "default" or "none", got {spec!r}')
-    return [_cast("prompt", t, int) for t in spec]
-
-
-def _cast(key: str, value, kind):
-    """A numeric knob as kind (int or float). A bool, a non-number or, for
-    an int knob, a non-integral value is a config error naming the key."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError(value)
-        number = kind(value)
-        if kind is int and number != value and not isinstance(value, str):
-            raise ValueError(value)
-        return number
-    except (TypeError, ValueError, OverflowError):
-        article = "an integer" if kind is int else "a number"
-        raise InvalidInputError(f"{key} must be {article}, got {value!r}") from None
+    return json_value("prompt", spec, 'a list of JSON integers, "default" or "none"', depth=1)
 
 
 def generation_config(doc: dict, model=None, prompt=None) -> GenerationConfig:
     """Resolve the generation knobs. A model's optional length, batch and
     steps attributes are shape hints: its length is the default length,
-    its batch replaces the configured one and its steps cap the count."""
-
-    def knob(key, kind):
-        return _cast(key, doc.get(key, DEFAULTS[key]), kind)
-
+    its batch replaces the configured one and its steps cap the count.
+    GenerationConfig checks every knob; length and steps, which the shape
+    hints need first, are checked here when the document gives them."""
     length = doc.get("length")
     if length is None:
         length = getattr(model, "length", None) or GenerationConfig.length
-    length = _cast("length", length, int)
+    else:
+        json_value("length", length)
     plen = 0 if prompt is None else len(prompt)
     if plen >= length:
         raise InvalidInputError(
             f"prompt has {plen} tokens; it must be shorter than the length ({length})"
         )
-    batch = getattr(model, "batch", None) or knob("batch", int)
+    batch = getattr(model, "batch", None) or doc.get("batch", DEFAULTS["batch"])
     steps = doc.get("steps")
     if steps is None:
         steps = min(GenerationConfig.steps, length - plen)
-    steps = _cast("steps", steps, int)
+    else:
+        json_value("steps", steps)
     model_steps = getattr(model, "steps", None)
     if model_steps is not None:
         steps = min(steps, model_steps)
-    top_k = doc.get("feature_top_k")
     return GenerationConfig(
-        temperature=knob("temperature", float),
         steps=steps,
         length=length,
         batch=batch,
-        seed=knob("seed", int),
-        guidance=str(doc.get("guidance", DEFAULTS["guidance"])),
-        alpha=knob("alpha", float),
-        tolerance=knob("tolerance", float),
-        jitter=knob("jitter", float),
         anneal=_anneal_mode(doc.get("anneal", DEFAULTS["anneal"])),
-        feature_top_k=None if top_k is None else _cast("feature_top_k", top_k, int),
+        feature_top_k=doc.get("feature_top_k"),
+        **{key: doc.get(key, DEFAULTS[key])
+           for key in ("temperature", "seed", "guidance", "alpha", "tolerance", "jitter")},
     )
 
 
 def grid_spec(doc: dict) -> GridSpec:
-    grid = dict(DEFAULT_GRID)
-    grid.update(doc.get("grid", {}))
+    section = doc.get("grid", {})
+    if not isinstance(section, dict):
+        raise InvalidInputError(f"grid must be an object, got {section!r}")
+    grid = {**DEFAULT_GRID, **section}
 
-    def values(key, kind=None, knob=None):
+    def knob_values(key, knob):
+        """grid.<key>: a list of values the GenerationConfig field knob accepts."""
         items = grid[key]
         if not isinstance(items, list):
             raise InvalidInputError(f"grid.{key} must be a list, got {items!r}")
-        if kind is not None:
-            items = [_cast(f"grid.{key}", item, kind) for item in items]
-        if knob is not None:  # the GenerationConfig field that checks each item
-            for item in items:
-                try:
-                    GenerationConfig(**{knob: item})
-                except InvalidInputError as exc:
-                    raise InvalidInputError(f"grid.{key}: {exc}") from None
+        for item in items:
+            try:
+                GenerationConfig(**{knob: item})
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"grid.{key}: {exc}") from None
         return items
 
-    problems = values("problems", int)
+    seeds, problems = (json_value(f"grid.{key}", grid[key], "a list of JSON integers", depth=1)
+                       for key in ("seeds", "problems"))
     if any(p < 0 for p in problems):
         raise InvalidInputError(f"grid.problems must be >= 0, got {problems!r}")
     return GridSpec(
-        temperatures=values("temperatures", float, "temperature"),
-        alphas=values("alphas", float, "alpha"),
-        guidances=values("guidances", knob="guidance"),
-        seeds=values("seeds", int),
+        temperatures=knob_values("temperatures", "temperature"),
+        alphas=knob_values("alphas", "alpha"),
+        guidances=knob_values("guidances", "guidance"),
+        seeds=seeds,
         problems=problems,
     )
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InvalidInputError
+from .errors import ContractError, InvalidInputError, is_integer
 from .linalg import softmax_rows
 from .state import MaskState, Schedule, build_schedule
 # sample_stream, the reference definition of a stream, stays importable here
@@ -39,15 +39,11 @@ ANNEAL_MODES = ("factor", "linear", "off")
 _BLOCK_DRAWS = 4096
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class GenerationConfig:
     """Knobs for one generation run; an invalid value raises
-    InvalidInputError when the config is built or replaced."""
+    InvalidInputError when the config is built or replaced. The float
+    knobs are stored as Python floats."""
 
     temperature: float = 0.0
     steps: int = 32
@@ -64,14 +60,19 @@ class GenerationConfig:
     def __post_init__(self):
         for name in ("steps", "length", "batch", "seed", "feature_top_k"):
             value = getattr(self, name)
-            if not (_is_integer(value) or (name == "feature_top_k" and value is None)):
+            if not (is_integer(value) or (name == "feature_top_k" and value is None)):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         for name in ("temperature", "alpha", "tolerance", "jitter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidInputError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value}")
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise InvalidInputError(f"{name} must be finite, got {number}")
+            object.__setattr__(self, name, number)
         if self.temperature < 0:
             raise InvalidInputError("temperature must be >= 0")
         if self.steps < 1 or self.length < 1 or self.batch < 1:
@@ -233,7 +234,7 @@ def _check_seeds(seeds) -> tuple:
     """seeds as a tuple of ints; InvalidInputError unless a non-empty
     sequence of integers (bools are not seeds)."""
     entries = tuple(seeds) if np.iterable(seeds) else ()
-    if not entries or not all(map(_is_integer, entries)):
+    if not entries or not all(map(is_integer, entries)):
         raise InvalidInputError(f"seeds must be a non-empty sequence of integers, got {seeds!r}")
     return tuple(int(s) for s in entries)
 

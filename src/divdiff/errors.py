@@ -1,6 +1,9 @@
-"""Exception types and the typed reading of JSON documents, package-wide."""
+"""Exception types, the integer predicate and the typed reading of JSON
+documents, package-wide."""
 
 import sys
+
+import numpy as np
 
 
 class DivDiffError(Exception):
@@ -31,15 +34,27 @@ class TraceFormatError(DivDiffError, ValueError):
     """A logits trace file is malformed or unreadable."""
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def json_value(name: str, value, noun: str = "a JSON integer", types: tuple = (int,),
+               depth: int = 0):
+    """value, cast nowhere: one of the exact types (a bool is no int; a number
+    is finite as a float) inside depth levels of lists, else InvalidInputError
+    saying `name must be noun`."""
+    if not _json_typed(value, types, depth):
+        raise InvalidInputError(f"{name} must be {noun}")
+    return value
+
+
 def json_fields(owner: str, doc, fields: dict, defaults: dict) -> dict:
-    """The fields of JSON object doc, defaults filling absent keys, cast nowhere:
-    the (types, depth, noun) of a key asks for one of the exact types (a bool
-    is no int; a number is finite as a float) inside depth levels of lists."""
+    """The fields of JSON object doc, defaults filling absent keys, each
+    checked by json_value against the (types, depth, noun) fields gives it."""
     values = {**defaults, **doc} if isinstance(doc, dict) else {}
-    for key, (types, depth, noun) in fields.items():
-        if key not in values or not _json_typed(values[key], types, depth):
-            raise InvalidInputError(f"{owner}: {key} must be {noun}")
-    return {key: values[key] for key in fields}
+    return {key: json_value(f"{owner}: {key}", values.get(key), noun, types, depth)
+            for key, (types, depth, noun) in fields.items()}
 
 
 def _json_typed(value, types: tuple, depth: int) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractError, InvalidInputError
+from .errors import ContractError, InvalidInputError, is_integer
 from .state import MaskState
 
 
@@ -126,8 +126,7 @@ def feature_set(logits, state: MaskState,
 
 def group_rows(batch: int, groups: int, caller: str) -> int:
     """Rows per batch when `groups` equal batches are stacked in `batch` rows."""
-    if (isinstance(groups, bool) or not isinstance(groups, (int, np.integer))
-            or groups < 1 or batch % groups):
+    if not is_integer(groups) or groups < 1 or batch % groups:
         raise InvalidInputError(
             f"{caller}: groups must be an integer >= 1 that divides the batch of "
             f"{batch}, got {groups!r}"

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from divdiff import cli, harness, linalg
+from divdiff import config as cfg
 from divdiff.models import default_task
 from divdiff.trace import trace_write
 
@@ -60,6 +62,9 @@ class TestGenerate:
     @pytest.mark.parametrize("assignment", [
         "steps=abc", "temperature=abc", "alpha=[1]", "feature_top_k=abc",
         "batch=1.5", "seed=true",
+        # JSON strings never load as numbers, nor floats as integers
+        'temperature="0.5"', 'batch="4"', 'seed="3"', 'steps="3"', 'feature_top_k="2"',
+        "batch=16.0", "length=8.0",
     ])
     def test_malformed_knob_exits_2(self, tmp_path, capsys, assignment):
         config = write_config(tmp_path / "c.json")
@@ -68,7 +73,8 @@ class TestGenerate:
         assert f"error: {key} must be" in capsys.readouterr().err
 
     def test_outputs_and_effective_config_written(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", batch=4)
+        config = write_config(tmp_path / "c.json", batch=4, temperature=1, guidance="odd",
+                              alpha=16)
         out = tmp_path / "out"
         rc = cli.main(
             ["generate", "--config", str(config), "--out", str(out),
@@ -81,6 +87,9 @@ class TestGenerate:
         assert len(reports) == 1
         doc = json.loads(reports[0].read_text())
         assert len(doc["outputs"]) == 4
+        # float knobs given as JSON integers are reported as floats
+        assert (doc["theta"], doc["alpha"]) == (1.0, 16.0)
+        assert type(doc["theta"]) is float and type(doc["alpha"]) is float
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path / "c.json", batch=4)
@@ -150,6 +159,14 @@ class TestConfigCasts:
         ("generate", "prompt=5"),
         ("gradcheck", "gradcheck_instances=abc"),
         ("gradcheck", "gradcheck_instances=0"),
+        ("grid", "grid=3"),
+        # JSON strings never load as numbers
+        ("generate", 'model.problem="2"'),
+        ("generate", 'prompt=["1"]'),
+        ("grid", 'grid.seeds=["1"]'),
+        ("grid", 'grid.problems=["0"]'),
+        ("invariance", 'invariance.m="4"'),
+        ("gradcheck", 'gradcheck_instances="5"'),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, assignment):
         config = write_config(tmp_path / "c.json")
@@ -158,10 +175,12 @@ class TestConfigCasts:
         assert f"error: {key} must be" in capsys.readouterr().err
 
     def test_bigram_vocab_not_an_integer_exits_2(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", prompt="none",
-                              model={"kind": "bigram", "vocab": "abc", "corpus": [[0, 1]]})
-        assert cli.main(["generate", "--config", str(config)]) == 2
-        assert "error: model.vocab must be" in capsys.readouterr().err
+        # model.problem is read for the report of every model kind
+        for key, value in [("vocab", "abc"), ("vocab", "5"), ("problem", "2")]:
+            config = write_config(tmp_path / "c.json", prompt="none", model={
+                "kind": "bigram", "vocab": 5, "corpus": [[0, 1]], key: value})
+            assert cli.main(["generate", "--config", str(config)]) == 2
+            assert f"error: model.{key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("vocab", [0, -1])
     def test_bigram_vocab_below_one_exits_2(self, tmp_path, capsys, vocab):
@@ -208,7 +227,7 @@ class TestConfigCasts:
         assert f"error: model.{key}: file not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["corpus", "corpus_path"])
-    @pytest.mark.parametrize("corpus", [5, [[0, "a"]], [[0.5, 1, 2], [True, 3]]])
+    @pytest.mark.parametrize("corpus", [5, [[0, "a"]], [[0.5, 1, 2], [True, 3]], [["0", "1"]]])
     def test_bad_corpus_exits_2(self, tmp_path, capsys, corpus, source):
         (tmp_path / "corpus.json").write_text(json.dumps(corpus))
         value = corpus if source == "corpus" else "corpus.json"
@@ -262,6 +281,18 @@ class TestConfigCasts:
                               model={"kind": "planted", "task_path": "task.json"})
         assert cli.main(["generate", "--config", str(config)]) == 2
         assert "error: model.task_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["generate.json", "grid.json"])
+    def test_shipped_config_resolves(self, name):
+        # the documented example configs load; nothing is generated
+        path = Path(__file__).resolve().parents[1] / "configs" / name
+        doc = cfg.load_config(path)
+        model, task = cfg.build_model(doc, path.parent)
+        config = cfg.generation_config(doc, model, cfg.resolve_prompt(doc, task))
+        spec = cfg.grid_spec(doc)
+        assert (config.batch, config.guidance, config.length) == (16, "none", task.length)
+        assert spec.temperatures == doc.get("grid", cfg.DEFAULT_GRID)["temperatures"]
+        assert spec.seeds == doc.get("grid", cfg.DEFAULT_GRID)["seeds"]
 
 
 class TestReplayCommand:

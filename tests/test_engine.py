@@ -352,7 +352,7 @@ class TestConfigValidation:
             GenerationConfig(temperature=-1.0)
 
     @pytest.mark.parametrize("knob", ["temperature", "alpha", "tolerance", "jitter"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, pytest.param(10 ** 400, id="huge-int")])
     def test_rejects_non_finite_knob(self, knob, value):
         with pytest.raises(InvalidInputError, match=f"{knob} must be finite"):
             GenerationConfig(**{knob: value})
@@ -374,3 +374,7 @@ class TestConfigValidation:
                                   seed=np.int64(7), feature_top_k=np.int16(2),
                                   temperature=np.float32(0.5), alpha=np.int64(8))
         assert config.steps == 3 and config.feature_top_k == 2 and config.alpha == 8
+        # the float knobs are stored as Python floats, whatever number type came in
+        config = replace(config, tolerance=1, jitter=np.float16(0.5))
+        floats = (config.temperature, config.alpha, config.tolerance, config.jitter)
+        assert [type(v) for v in floats] == [float] * 4 and floats == (0.5, 8.0, 1.0, 0.5)
