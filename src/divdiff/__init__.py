@@ -8,7 +8,7 @@ evaluation harness (pass@k, diversity, invariance, overhead) round out
 the library.
 """
 
-from .dpp import build_l_ensemble, dpp_grad_logits, dpp_loss, dpp_step
+from .dpp import dpp_grad_logits, dpp_loss, dpp_step
 from .engine import (
     GenerationConfig,
     GenerationRun,

@@ -142,15 +142,15 @@ def _cmd_replay(args) -> int:
     doc, model, _, prompt, config = _inputs(args)
     if not isinstance(model, ReplayDenoiser):
         raise InvalidInputError("replay needs model.kind == 'trace'")
-    run = run_generation(model, config, prompt=prompt)
-    for i, seq in enumerate(run.sequences):
-        print(f"sample {i}: {' '.join(str(t) for t in seq.tolist())}")
+    sequences = run_generation(model, config, prompt=prompt).sequences.tolist()
+    for i, seq in enumerate(sequences):
+        print(f"sample {i}: {' '.join(map(str, seq))}")
     if args.out:
         cfg.echo_config(doc, args.out)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "replay_outputs.json", "w", encoding="utf-8") as fh:
-            json.dump([s.tolist() for s in run.sequences], fh)
+            json.dump(sequences, fh)
             fh.write("\n")
     return 0
 

@@ -26,15 +26,10 @@ def _kernels(features: np.ndarray, qualities: np.ndarray):
     (G, B, V) features and (G, B) qualities: one kernel per stacked batch."""
     norms = np.linalg.norm(features, axis=-1)
     if np.any(norms <= 0):
-        raise DegenerateInputError("build_l_ensemble: zero-norm feature vector")
+        raise DegenerateInputError("DPP kernel: zero-norm feature vector")
     normed = features / norms[..., None]
     weights = qualities[:, :, None] * qualities[:, None, :]
     return (normed @ normed.swapaxes(1, 2)) * weights, normed, norms, weights
-
-
-def build_l_ensemble(fs: FeatureSet) -> np.ndarray:
-    """Quality-weighted similarity kernel of the normalized batch features."""
-    return _kernels(fs.features[None], fs.qualities[None])[0][0]
 
 
 def _with_retry(factorize, m: np.ndarray, eps: float):

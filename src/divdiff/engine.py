@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InvalidInputError, is_integer
+from .features import group_rows
 from .linalg import softmax_rows
 from .state import MaskState, Schedule, build_schedule
 # sample_stream, the reference definition of a stream, stays importable here
@@ -210,24 +211,21 @@ def _step_uniforms(config: GenerationConfig, steps: int, seeds):
 
 @dataclass
 class GenerationRun:
-    """Everything one run produced, including hook timings."""
+    """Everything one run produced, including hook timings: sequences is
+    the (rows, S) int64 array of finished token ids."""
 
-    sequences: list[np.ndarray]
-    state: MaskState
+    sequences: np.ndarray
     guidance_seconds: list[float] = field(default_factory=list)
     total_seconds: float = 0.0
 
     def split(self, parts: int) -> list["GenerationRun"]:
         """The runs of `parts` equal batches stacked in this one, in stacking
-        order; each is charged 1/parts of the hook and total seconds."""
-        b = len(self.sequences) // parts
+        order, their sequences views of these rows; each is charged 1/parts
+        of the hook and total seconds."""
+        b = group_rows(len(self.sequences), parts, "GenerationRun.split")
         hook = [s / parts for s in self.guidance_seconds]
-        st = self.state
-        return [GenerationRun(self.sequences[i:i + b],
-                              MaskState(st.masked[i:i + b], st.realized[i:i + b],
-                                        st.vocab, st.prompt_len),
-                              list(hook), self.total_seconds / parts)
-                for i in range(0, parts * b, b)]
+        return [GenerationRun(self.sequences[i:i + b], list(hook), self.total_seconds / parts)
+                for i in range(0, len(self.sequences), b)]
 
 
 def _check_seeds(seeds) -> tuple:
@@ -278,11 +276,10 @@ def run_generation(model, config: GenerationConfig, prompt=None,
     total = time.perf_counter() - start
     if state.masked.any():
         raise ContractError("generation finished with masked positions")
-    seqs = [state.realized[i].copy() for i in range(rows)]
-    return GenerationRun(seqs, state, times, total)
+    return GenerationRun(state.realized, times, total)
 
 
 def generate_batch(model, config: GenerationConfig, prompt=None) -> list[np.ndarray]:
-    """Generate a batch of fully realized sequences."""
-    return run_generation(model, config, prompt).sequences
+    """Generate a batch of fully realized sequences, one row each."""
+    return list(run_generation(model, config, prompt).sequences)
 

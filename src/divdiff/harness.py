@@ -114,8 +114,8 @@ def build_report(run: GenerationRun, config: GenerationConfig, problem: int = 0,
         theta=config.temperature,
         alpha=config.alpha if config.guidance != "none" else 0.0,
         seed=config.seed,
-        outputs=[seq.tolist() for seq in run.sequences],
-        correct=[] if task is None else [check_answer(task, seq) for seq in run.sequences],
+        outputs=run.sequences.tolist(),
+        correct=[] if task is None else check_answer(task, run.sequences).tolist(),
         guidance_seconds=float(sum(run.guidance_seconds)),
         total_seconds=run.total_seconds,
         per_step_guidance_seconds=list(run.guidance_seconds),
@@ -172,7 +172,7 @@ def invariance_check(model, config: GenerationConfig, m: int, b1: int, b2: int,
         raise InvalidInputError("invariance_check: need 1 <= m <= b1 < b2")
     small = run_generation(model, replace(config, batch=b1), prompt=prompt).sequences
     large = run_generation(model, replace(config, batch=b2), prompt=prompt).sequences
-    return all(np.array_equal(small[i], large[i]) for i in range(m))
+    return np.array_equal(small[:m], large[:m])
 
 
 def _run_stack(task_factory, base_config, key, seeds) -> list[RunReport]:

@@ -217,14 +217,17 @@ class PlantedDenoiser:
         return np.log(probs)
 
 
-def check_answer(task: PlantedTask, output) -> bool:
-    """True iff the fully realized output equals a correct template exactly."""
-    seq = np.asarray(output, dtype=np.int64)
-    if seq.ndim != 1 or seq.size != task.length:
+def check_answer(task: PlantedTask, output) -> bool | np.ndarray:
+    """True iff the fully realized output equals a correct template exactly;
+    an (n, S) stack of outputs gets an (n,) bool array of those flags."""
+    seqs = np.asarray(output, dtype=np.int64)
+    if seqs.ndim not in (1, 2) or seqs.shape[-1] != task.length:
         raise InvalidInputError("check_answer: output does not match the task length")
-    if seq.min() < 0 or seq.max() >= task.vocab:
+    if seqs.size and (seqs.min() < 0 or seqs.max() >= task.vocab):
         raise InvalidInputError("check_answer: output contains non-vocabulary ids")
-    return any(np.array_equal(seq, task.templates[c]) for c in task.correct)
+    correct = task.templates[sorted(task.correct)]
+    flags = np.all(seqs[..., None, :] == correct, axis=-1).any(axis=-1)
+    return bool(flags) if seqs.ndim == 1 else flags
 
 
 class BigramDenoiser:

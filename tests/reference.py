@@ -12,6 +12,8 @@ method states it:
 - a sampler that draws from one sample_stream per (sample, step);
 - the bigram denoiser's prediction, one sample and one position at a time;
 - the harness's pairwise diversity, one pair at a time;
+- the planted task's answer checker, one sample and one correct template
+  at a time;
 - the gradient checks' central differences, one logits entry and two
   lone forward passes at a time.
 
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from divdiff.dpp import build_l_ensemble, dpp_loss
-from divdiff.features import FeatureSet, extract_features, feature_set
+from divdiff.dpp import _kernels, dpp_loss
+from divdiff.features import extract_features, feature_set
 from divdiff.features import unified_distribution as library_unified_distribution
 from divdiff.gradcheck import frozen_odd_targets
 from divdiff.odd import anneal_alpha
@@ -293,6 +295,14 @@ def pairwise_diversity(items) -> float:
     return total / pairs
 
 
+# ---- answer checking ----------------------------------------------------------
+
+def check_answer(task, output) -> bool:
+    """models.check_answer of one sequence: equal to a correct template."""
+    seq = np.asarray(output, dtype=np.int64)
+    return any(np.array_equal(seq, task.templates[c]) for c in task.correct)
+
+
 # ---- central differences, one entry at a time -----------------------------
 
 def central_differences(objective, logits, h: float) -> np.ndarray:
@@ -342,7 +352,6 @@ def fd_dpp_gradient(logits, state: MaskState, eps: float, h: float) -> np.ndarra
     q0 = fs0.qualities.copy()
 
     def objective(x):
-        return dpp_loss(build_l_ensemble(FeatureSet(lone_features(x, state), fs0.routing, q0)),
-                        eps)
+        return dpp_loss(_kernels(lone_features(x, state)[None], q0[None])[0][0], eps)
 
     return central_differences(objective, logits, h)

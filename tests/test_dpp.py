@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_state
 from divdiff import linalg
-from divdiff.dpp import build_l_ensemble, dpp_grad_logits, dpp_loss, dpp_step
+from divdiff.dpp import _kernels, dpp_grad_logits, dpp_loss, dpp_step
 from divdiff.errors import DegenerateInputError, InvalidInputError, NumericalError
 from divdiff.features import FeatureSet, feature_set
 from divdiff.gradcheck import fd_dpp_gradient, has_pool_tie, relative_error, run_dpp_suite
@@ -21,6 +21,11 @@ def features_only(vectors, qualities=None):
     return FeatureSet(features=v, routing=np.zeros(v.shape, dtype=np.int64), qualities=q)
 
 
+def l_ensemble(fs):
+    """The quality-weighted similarity kernel of one batch's features."""
+    return _kernels(fs.features[None], fs.qualities[None])[0][0]
+
+
 def shift_logdet_loss(eigenvalues, eps):
     """Oracle: the loss from known kernel eigenvalues via the shift identity."""
     first = sum(math.log(e + eps) for e in eigenvalues)
@@ -30,26 +35,26 @@ def shift_logdet_loss(eigenvalues, eps):
 
 class TestBuildLEnsemble:
     def test_orthogonal_unit_features(self):
-        l_matrix = build_l_ensemble(features_only([[1.0, 0.0], [0.0, 1.0]]))
+        l_matrix = l_ensemble(features_only([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose(l_matrix, np.eye(2), atol=1e-14)
 
     def test_identical_features_rank_one(self):
-        l_matrix = build_l_ensemble(features_only([[2.0, 2.0], [1.0, 1.0]]))
+        l_matrix = l_ensemble(features_only([[2.0, 2.0], [1.0, 1.0]]))
         np.testing.assert_allclose(l_matrix, np.ones((2, 2)), atol=1e-14)
 
     def test_quality_outer_product(self):
         fs = features_only([[1.0, 0.0], [0.0, 1.0]], qualities=[0.5, 0.5])
-        np.testing.assert_allclose(build_l_ensemble(fs), 0.25 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(l_ensemble(fs), 0.25 * np.eye(2), atol=1e-14)
 
     def test_zero_norm_feature(self):
         with pytest.raises(DegenerateInputError):
-            build_l_ensemble(features_only([[0.0, 0.0], [1.0, 0.0]]))
+            l_ensemble(features_only([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_psd_on_random_features(self, rng):
         for _ in range(20):
             v = rng.random((5, 8)) + 1e-6
             q = rng.random(5)
-            eigs = np.linalg.eigvalsh(build_l_ensemble(features_only(v, q)))
+            eigs = np.linalg.eigvalsh(l_ensemble(features_only(v, q)))
             assert eigs.min() >= -1e-9
 
 
@@ -88,7 +93,7 @@ class TestDppLoss:
     def test_stack_retries_only_its_failing_kernel(self, monkeypatch):
         eps = 1e-3
         gen = np.random.default_rng(4)
-        good = [build_l_ensemble(features_only(gen.normal(size=(3, 5)))) for _ in range(2)]
+        good = [l_ensemble(features_only(gen.normal(size=(3, 5)))) for _ in range(2)]
         # L + eps I has the eigenvalue -eps / 2; 10 eps of extra jitter factor it
         bad = np.diag([1.0, 0.5, -1.5 * eps])
         stack = np.stack([good[0], bad, good[1]])
@@ -252,7 +257,7 @@ class TestDppStackRetry:
                                                        self.state.realized[i:i + 4], 6))
                       for i in (0, 4, 8)]
         # the symmetrized L + eps I of group 2, as spd_inverse hands it to LAPACK
-        kernel = build_l_ensemble(feature_set(*self.parts[1])[0]) + self.config.jitter * np.eye(4)
+        kernel = l_ensemble(feature_set(*self.parts[1])[0]) + self.config.jitter * np.eye(4)
         self.target = 0.5 * (kernel + kernel.T)
 
     def fail_potrf(self, monkeypatch, fails):

@@ -149,7 +149,7 @@ class TestDenoiseStep:
         sched = build_schedule(task.length - len(prompt), config.steps)
         for t in range(config.steps):
             state = denoise_step(model, state, t, config, sched)
-        np.testing.assert_array_equal(state.realized, run.state.realized)
+        np.testing.assert_array_equal(state.realized, run.sequences)
 
     def test_alpha_zero_guidance_matches_none(self):
         task = default_task(3)
@@ -202,7 +202,7 @@ class TestGenerateBatch:
             return logits
 
         run = run_generation(PlantedDenoiser(task), config, prompt=prompt, guidance=recorder)
-        assert not run.state.masked.any()
+        assert run.sequences.shape == (4, task.length)
         for seq in run.sequences:
             assert seq.max() < task.vocab
         # positions committed at step t never change afterwards
@@ -291,8 +291,7 @@ class TestStackedSeeds:
         model = PlantedDenoiser(task)
         default = run_generation(model, config, prompt=prompt)
         explicit = run_generation(model, config, prompt=prompt, seeds=[config.seed])
-        np.testing.assert_array_equal(np.stack(explicit.sequences), np.stack(default.sequences))
-        np.testing.assert_array_equal(explicit.state.realized, default.state.realized)
+        np.testing.assert_array_equal(explicit.sequences, default.sequences)
         assert len(explicit.guidance_seconds) == len(default.guidance_seconds)
 
     def test_one_predict_and_one_hook_call_per_step(self):
@@ -315,10 +314,18 @@ class TestStackedSeeds:
         run = run_generation(PlantedDenoiser(task), config, prompt=prompt, seeds=[5, 6])
         parts = run.split(2)
         for j, part in enumerate(parts):
-            assert part.sequences == run.sequences[4 * j:4 * j + 4]
-            np.testing.assert_array_equal(part.state.realized, run.state.realized[4 * j:4 * j + 4])
+            assert np.shares_memory(part.sequences, run.sequences)
+            np.testing.assert_array_equal(part.sequences, run.sequences[4 * j:4 * j + 4])
             assert part.guidance_seconds == [s / 2 for s in run.guidance_seconds]
             assert part.total_seconds == run.total_seconds / 2
+
+    @pytest.mark.parametrize("parts", [0, -1, 3, True, 2.0])
+    def test_split_rejects_parts_that_do_not_divide_the_rows(self, parts):
+        task = default_task(0)
+        config = GenerationConfig(steps=2, length=task.length, batch=4)
+        run = run_generation(PlantedDenoiser(task), config, seeds=[1, 2])
+        with pytest.raises(InvalidInputError, match="GenerationRun.split"):
+            run.split(parts)
 
     @pytest.mark.parametrize("seeds", [[], (), [1.0], [1, 2.5], [True], [1, False], ["3"], 4])
     def test_rejects_bad_seeds(self, seeds):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import random_state
@@ -104,7 +106,45 @@ class TestPlantedPredict:
             np.testing.assert_array_equal(seq, task.templates[0])
 
 
+@st.composite
+def answer_stacks(draw):
+    """(task, stack): random rows mixed with correct templates, their
+    one-token near misses and template 0."""
+    task = default_task(draw(st.integers(0, 50)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = gen.integers(0, task.vocab, size=(draw(st.integers(1, 12)), task.length))
+    for row in stack:
+        kind = gen.integers(4)
+        if kind < 2:  # a correct template, or one token off it
+            row[:] = task.templates[gen.choice(sorted(task.correct))]
+        if kind == 1:
+            p = gen.integers(task.length)
+            row[p] = (row[p] + gen.integers(1, task.vocab)) % task.vocab
+        if kind == 2:
+            row[:] = task.templates[0]
+    return task, stack
+
+
 class TestCheckAnswer:
+    @settings(max_examples=60, deadline=None)
+    @given(answer_stacks())
+    def test_stack_matches_the_per_sample_oracle(self, case):
+        task, stack = case
+        flags = check_answer(task, stack)
+        expected = [reference.check_answer(task, seq) for seq in stack]
+        assert flags.dtype == bool and flags.tolist() == expected
+        for seq, want in zip(stack, expected):
+            got = check_answer(task, seq)
+            assert type(got) is bool and got == want
+
+    @pytest.mark.parametrize("seq", [[4, 5, 6], [4, 5, 6, 7, 4], [4, 5, -1, 7], [4, 5, 6, 8]])
+    def test_rejects_bad_outputs_at_both_ranks(self, seq):
+        task = tiny_task()
+        stack = np.stack([np.resize(task.templates[1], len(seq)), seq])
+        for output in (seq, stack, stack[None]):
+            with pytest.raises(InvalidInputError, match="check_answer"):
+                check_answer(task, output)
+
     def test_correct_template(self):
         task = tiny_task()
         assert check_answer(task, task.templates[1])
